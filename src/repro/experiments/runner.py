@@ -355,7 +355,9 @@ class Runner:
         measured from submission.  Pool breakage (a child died, or we
         killed one for overrunning its deadline) fails the culprit and
         requeues the collateral in-flight cells for one retry on a fresh
-        pool.
+        pool.  From then on cells are dispatched one at a time: a crash
+        cannot say which in-flight cell caused it, and a retried innocent
+        running beside the crasher again would be taken down with it.
         """
         import multiprocessing
         from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
@@ -374,6 +376,7 @@ class Runner:
             max_workers=self.workers, mp_context=context
         )
         pending: Dict[Any, Tuple[_PlannedCell, Optional[float]]] = {}
+        window = self.workers
 
         def fail_broken(cell: _PlannedCell) -> None:
             """Requeue a pool-breakage casualty, or fail it after retry."""
@@ -409,7 +412,7 @@ class Runner:
 
         try:
             while queue or pending:
-                while queue and len(pending) < self.workers:
+                while queue and len(pending) < window:
                     cell = queue.popleft()
                     payload = (
                         cell.config.experiment, cell.scale, cell.kwargs,
@@ -482,6 +485,7 @@ class Runner:
                             cell, _deadline = pending.pop(future)
                             fail_broken(cell)
                     executor.shutdown(wait=False, cancel_futures=True)
+                    window = 1
                     executor = ProcessPoolExecutor(
                         max_workers=self.workers, mp_context=context
                     )

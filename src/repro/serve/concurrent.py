@@ -6,14 +6,19 @@ serving stack: every caller pays a full forward pass for a batch of one.
 efficiency with a *leader/followers* queue in front of an
 :class:`~repro.serve.service.EstimatorService`:
 
-- ``submit`` enqueues the plan and returns a :class:`PoolPrediction`
-  handle.  The first submitter whose arrival finds no active leader
-  schedules a **drain** task on the shared :class:`ThreadPoolExecutor`;
-- the drain pops up to ``max_batch`` queued requests, prices them through
-  one ``service.predict_plans`` call (one padded ``encode_batch``, one
-  model forward), resolves every handle, and loops until the queue is
-  empty — so whatever requests pile up while a forward is running are
-  coalesced into the next one (dynamic batching);
+- the queue's unit is the **request**: the plans of one ``submit``,
+  ``predict_plans`` or ``predict_caught`` call.  The caller snapshots
+  (catches) all of its plans first, then enqueues them under one lock
+  acquisition, split into requests of at most ``max_batch`` plans in
+  submission order.  The first caller whose arrival finds no active
+  leader schedules a **drain** task on the shared
+  :class:`ThreadPoolExecutor`;
+- the drain pops whole requests, up to ``max_batch`` plans, prices them
+  through one ``service.predict_plans`` call (one padded
+  ``encode_batch``, one model forward), resolves each request through one
+  event and one list of values, and loops until the queue is empty — so
+  whatever requests pile up while a forward is running are coalesced
+  into the next one (dynamic batching);
 - large miss chunks additionally fan the pure-Python ``encode_plan``
   loop out across the pool's idle workers (the service's
   ``encode_fanout`` hook), keeping only the padded assembly and the
@@ -35,9 +40,9 @@ lock is never held across an estimator call.  See "Concurrency model" in
 ``docs/architecture.md``.
 
 Metrics (on the service's registry, ``serve.pool.*``): ``workers``
-(gauge), ``queue_depth`` (gauge), ``requests`` (counter), ``flush_size``
-(histogram of plans per drain), and ``wait_seconds`` (histogram of
-submit→resolve latency).
+(gauge), ``queue_depth`` (gauge, plans queued), ``requests`` (counter of
+plans submitted), ``flush_size`` (histogram of plans per drain), and
+``wait_seconds`` (histogram of enqueue→resolve latency per request).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
@@ -91,20 +96,22 @@ def _fanout_consumer(service):
 
 
 class PoolPrediction:
-    """Handle for a plan submitted to the pool; ``result()`` blocks.
+    """Handle for one request on the pool's queue; ``result()`` blocks.
 
-    Unlike :class:`~repro.serve.batching.PendingPrediction` there is
-    nothing to flush: a pending handle always has an active drain working
-    toward it, so ``result()`` just waits for resolution or rejection.
+    A request is the plans of one ``submit`` (a single plan) or one
+    ``max_batch``-plan slice of a ``predict_plans``/``predict_caught``
+    call.  A drain serves it whole and resolves it through one event and
+    one list of values.  Unlike :class:`~repro.serve.batching.PendingPrediction`
+    there is nothing to flush: a pending handle always has an active
+    drain working toward it, so ``result()`` just waits for resolution or
+    rejection.
     """
 
-    __slots__ = ("_plan", "_caught", "_value", "_error", "_done",
-                 "_enqueued")
+    __slots__ = ("_items", "_values", "_error", "_done", "_enqueued")
 
-    def __init__(self, plan, enqueued: float) -> None:
-        self._plan = plan
-        self._caught: Optional[CaughtPlan] = None
-        self._value: Optional[float] = None
+    def __init__(self, items: list, enqueued: float) -> None:
+        self._items = items
+        self._values: Optional[List[float]] = None
         self._error: Optional[BaseException] = None
         self._done = threading.Event()
         self._enqueued = enqueued
@@ -122,18 +129,23 @@ class PoolPrediction:
         return self._error
 
     def result(self, timeout: Optional[float] = None) -> float:
-        """Predicted latency (ms); raises the drain's error on rejection."""
+        """Predicted latency (ms) of the submitted plan; raises the
+        drain's error on rejection."""
+        return self._wait(timeout)[0]
+
+    def _wait(self, timeout: Optional[float] = None) -> List[float]:
+        """Predicted latencies (ms) of every plan in the request."""
         if not self._done.wait(timeout):
             raise TimeoutError(
                 f"prediction not resolved within {timeout} seconds"
             )
         if self._error is not None:
             raise self._error
-        assert self._value is not None
-        return self._value
+        assert self._values is not None
+        return self._values
 
-    def _resolve(self, value: float) -> None:
-        self._value = value
+    def _resolve(self, values: List[float]) -> None:
+        self._values = values
         self._done.set()
 
     def _reject(self, error: BaseException) -> None:
@@ -188,7 +200,8 @@ class ConcurrentEstimatorService:
         # estimator or pool call (lock order: this, then service locks).
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        self._queue: List[PoolPrediction] = []
+        self._queue: "deque[PoolPrediction]" = deque()
+        self._queued_plans = 0
         self._leader_active = False
         self._closed = False
         # How long an idle leader waits for the next request before
@@ -198,10 +211,11 @@ class ConcurrentEstimatorService:
         self.linger_s = 0.002
         # Batch-forming grace: after resolving a wave of requests the
         # drain waits up to this long for the queue to refill to the
-        # previous flush size before running the next forward, so a
-        # full client wave lands in one batch instead of trickling into
-        # fragments.  Self-tuning via _last_flush: serial traffic
-        # (flushes of one) never waits.
+        # previous flush's request count before running the next
+        # forward, so a full client wave lands in one batch instead of
+        # trickling into fragments.  Self-tuning via _last_flush
+        # (requests, not plans): a lone caller — whose flushes hold its
+        # one request, whatever its size — never waits.
         self.gather_s = 0.0005
         self._last_flush = 1
         # One bound-method object for the hook's whole lifetime: every
@@ -240,7 +254,7 @@ class ConcurrentEstimatorService:
         )
         self._workers_gauge.set(workers)
         self._queue_depth = self.metrics.gauge(
-            "serve.pool.queue_depth", help="requests waiting for a drain"
+            "serve.pool.queue_depth", help="plans waiting for a drain"
         )
         self._requests = self.metrics.counter(
             "serve.pool.requests", help="plans submitted to the pool"
@@ -249,7 +263,8 @@ class ConcurrentEstimatorService:
             "serve.pool.flush_size", help="plans coalesced per drain"
         )
         self._wait_times = self.metrics.histogram(
-            "serve.pool.wait_seconds", help="submit-to-resolve latency"
+            "serve.pool.wait_seconds",
+            help="enqueue-to-resolve latency per request"
         )
 
     # ------------------------------------------------------------------ #
@@ -281,10 +296,8 @@ class ConcurrentEstimatorService:
         off the serialized drain path — so mutating the plan object after
         ``submit`` does not affect the prediction.
         """
-        handle = PoolPrediction(plan, time.monotonic())
-        if self._can_serve_caught:
-            handle._caught = self._catch(plan)
-        return self._enqueue(handle)
+        item = self._catch(plan) if self._can_serve_caught else plan
+        return self._enqueue([item])[0]
 
     def submit_caught(self, caught: CaughtPlan) -> PoolPrediction:
         """Enqueue an already-caught plan (front-ends that snapshot early).
@@ -295,20 +308,35 @@ class ConcurrentEstimatorService:
         the original ``PlanNode``.  Only legal when the wrapped service
         itself serves caught plans.
         """
+        self._require_caught()
+        return self._enqueue([caught])[0]
+
+    def _require_caught(self) -> None:
         if not self._can_serve_caught:
             raise TypeError(
                 "wrapped service does not define predict_caught; "
                 "submit the original PlanNode via submit()"
             )
-        handle = PoolPrediction(None, time.monotonic())
-        handle._caught = caught
-        return self._enqueue(handle)
 
-    def _enqueue(self, handle: PoolPrediction) -> PoolPrediction:
+    def _enqueue(self, items: list) -> List[PoolPrediction]:
+        """Queue ``items`` as requests of at most ``max_batch`` plans.
+
+        All of them go in under one lock acquisition with one wake-up,
+        in submission order: a drain serves them in that order, so an
+        oversized call fills the service's caches exactly as serial
+        ``max_batch``-plan calls would.
+        """
+        now, step = time.monotonic(), self.max_batch
+        if len(items) <= step:
+            requests = [PoolPrediction(items, now)]
+        else:
+            requests = [PoolPrediction(items[i:i + step], now)
+                        for i in range(0, len(items), step)]
         with self._lock:
             if self._closed:
                 raise RuntimeError("service is closed")
-            self._queue.append(handle)
+            self._queue.extend(requests)
+            self._queued_plans += len(items)
             lead = not self._leader_active
             if lead:
                 self._leader_active = True
@@ -321,15 +349,15 @@ class ConcurrentEstimatorService:
                 # Pool shut down between our check and the submit.  No
                 # drain can ever run again, so reject everything queued
                 # (later submitters may have piggybacked on our leadership)
-                # rather than strand a single handle.
+                # rather than strand a single request.
                 with self._lock:
                     self._leader_active = False
-                    stranded = self._queue
-                    self._queue = []
+                    stranded = list(self._queue)
+                    self._queue.clear()
+                    self._queued_plans = 0
                 for queued in stranded:
                     queued._reject(error)
-                handle._reject(error)
-        return handle
+        return requests
 
     def _drain(self) -> None:
         """Leader loop: price queued requests batch by batch until empty.
@@ -341,51 +369,73 @@ class ConcurrentEstimatorService:
         steady stream of requests is served by one long-lived drain
         rather than one executor task per wave.
         """
+        queue = self._queue
         while True:
             with self._lock:
-                if not self._queue and not self._closed:
+                if not queue and not self._closed:
                     self._work.wait(timeout=self.linger_s)
-                if not self._queue:
+                if not queue:
                     self._leader_active = False
                     return
-                target = min(self._last_flush, self.max_batch)
-                if len(self._queue) < target and not self._closed:
+                if self._gathering():
                     deadline = time.monotonic() + self.gather_s
-                    while len(self._queue) < target and not self._closed:
+                    while self._gathering():
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             break
                         self._work.wait(timeout=remaining)
-                batch = self._queue[:self.max_batch]
-                del self._queue[:self.max_batch]
+                if self._queued_plans <= self.max_batch:
+                    batch, size = list(queue), self._queued_plans
+                    queue.clear()
+                else:
+                    # Whole requests only; each holds at most max_batch
+                    # plans, so the first always fits, and the queue
+                    # holds more than fits.
+                    batch, size = [], 0
+                    while size + len(queue[0]._items) <= self.max_batch:
+                        size += len(queue[0]._items)
+                        batch.append(queue.popleft())
+                self._queued_plans -= size
                 self._last_flush = len(batch)
-                depth = len(self._queue)
+                depth = self._queued_plans
             self._queue_depth.set(depth)
-            self._flush_sizes.observe(len(batch))
+            self._flush_sizes.observe(size)
             # Submission accounting happens here, batched per flush, so
             # the client-side submit path stays lock-light.
-            self._requests.inc(len(batch))
+            self._requests.inc(size)
+            items = [item for request in batch for item in request._items]
             try:
                 if self._can_serve_caught:
-                    values = self.service.predict_caught(
-                        [handle._caught for handle in batch]
-                    )
+                    values = self.service.predict_caught(items)
                 else:
-                    values = self.service.predict_plans(
-                        [handle._plan for handle in batch]
+                    values = self.service.predict_plans(items)
+                values = np.asarray(values, dtype=np.float64).tolist()
+                if len(values) != size:
+                    raise ValueError(
+                        f"estimator returned {len(values)} values "
+                        f"for {size} plans"
                     )
             except BaseException as error:
-                # Reject on BaseException too: these handles are claimed,
-                # and an unresolved claimed handle blocks result() forever.
-                for handle in batch:
-                    handle._reject(error)
+                # Reject on BaseException too: these requests are claimed,
+                # and an unresolved claimed request blocks result() forever.
+                for request in batch:
+                    request._reject(error)
                 continue
-            now = time.monotonic()
-            for handle, value in zip(batch, values):
-                handle._resolve(float(value))
+            now, start = time.monotonic(), 0
+            for request in batch:
+                stop = start + len(request._items)
+                request._resolve(values[start:stop])
+                start = stop
             self._wait_times.observe_many(
-                [now - handle._enqueued for handle in batch]
+                [now - request._enqueued for request in batch]
             )
+
+    def _gathering(self) -> bool:
+        """Whether the drain should wait for more requests (lock held):
+        fewer are queued than the last flush held, and room is left."""
+        return (len(self._queue) < self._last_flush
+                and self._queued_plans < self.max_batch
+                and not self._closed)
 
     def _fanout_encode(
         self, plans: Sequence[CaughtPlan]
@@ -465,16 +515,26 @@ class ConcurrentEstimatorService:
         return self.submit(plan).result()
 
     def predict_plans(self, plans: Sequence[PlanNode]) -> np.ndarray:
-        """Predicted latency (ms) per plan, routed through the queue."""
-        handles = [self.submit(plan) for plan in plans]
-        return np.array([handle.result() for handle in handles])
+        """Predicted latency (ms) per plan, enqueued as one request
+        (``max_batch``-plan slices when larger)."""
+        if self._can_serve_caught:
+            return self._predict([self._catch(plan) for plan in plans])
+        return self._predict(list(plans))
 
     def predict_caught(self, caught: Sequence[CaughtPlan]) -> np.ndarray:
-        """``predict_plans`` for pre-caught plans, routed through the
-        queue.  Defined on the class (not delegated) so MRO probes see
+        """``predict_plans`` for pre-caught plans, enqueued as one
+        request.  Defined on the class (not delegated) so MRO probes see
         the pool genuinely supports the caught path."""
-        handles = [self.submit_caught(plan) for plan in caught]
-        return np.array([handle.result() for handle in handles])
+        self._require_caught()
+        return self._predict(list(caught))
+
+    def _predict(self, items: list) -> np.ndarray:
+        if not items:
+            return np.empty(0)
+        values: List[float] = []
+        for request in self._enqueue(items):
+            values += request._wait()
+        return np.array(values)
 
     def predict(self, dataset) -> np.ndarray:
         """Predicted latency (ms) per plan of a PlanDataset."""

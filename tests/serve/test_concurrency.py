@@ -17,9 +17,11 @@ runs explore different interleavings; the default is 0.
 """
 
 import copy
+import itertools
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -273,24 +275,46 @@ class TestPoolHammer:
 
     def test_every_submission_is_accounted(self, setup, fast_switching):
         model, encoder, plans = setup
-        service = EstimatorService(model, encoder, batch_size=16,
-                                   cache_size=0)
+        reference = EstimatorService(
+            model, encoder, batch_size=16, cache_size=0
+        ).predict_plans(plans)
         total = THREADS * 40
-        with ConcurrentEstimatorService(service, workers=4) as pool:
+        # mixed=True: odd clients send multi-plan predict_plans requests
+        # of 1..8 plans while even clients submit single plans, so the
+        # drain coalesces requests of every size.
+        for mixed in (False, True):
+            service = EstimatorService(model, encoder, batch_size=16,
+                                       cache_size=0)
+            answers = [None] * THREADS
+            with ConcurrentEstimatorService(service, workers=4) as pool:
 
-            def client(index):
-                rotated = plans[index:] + plans[:index]
-                handles = [pool.submit(plan) for plan in rotated[:40]]
-                for handle in handles:
-                    handle.result(timeout=60)
-                    assert handle.done and not handle.failed
+                def client(index, mixed=mixed, pool=pool, answers=answers):
+                    order = [(index + k) % len(plans) for k in range(40)]
+                    values = []
+                    if mixed and index % 2:
+                        sizes = itertools.cycle(range(1, 9))
+                        start = 0
+                        while start < len(order):
+                            chunk = order[start:start + next(sizes)]
+                            values.extend(pool.predict_plans(
+                                [plans[i] for i in chunk]))
+                            start += len(chunk)
+                    else:
+                        handles = [pool.submit(plans[i]) for i in order]
+                        for handle in handles:
+                            values.append(handle.result(timeout=60))
+                            assert handle.done and not handle.failed
+                    answers[index] = (order, values)
 
-            _hammer(THREADS, client)
-            requests = pool.metrics.counter("serve.pool.requests").value
-            flushes = pool.metrics.histogram("serve.pool.flush_size")
-            assert requests == total
-            assert flushes.count >= 1
-            assert int(flushes.sum) == total
+                _hammer(THREADS, client)
+                requests = pool.metrics.counter("serve.pool.requests").value
+                flushes = pool.metrics.histogram("serve.pool.flush_size")
+                assert requests == total
+                assert flushes.count >= 1
+                assert int(flushes.sum) == total
+            for order, values in answers:
+                np.testing.assert_array_equal(np.asarray(values),
+                                              reference[order])
 
     def test_submit_after_close_raises(self, setup):
         model, encoder, plans = setup
@@ -324,6 +348,95 @@ class TestPoolHammer:
                 assert isinstance(handle.exception(), ValueError)
 
             _hammer(THREADS, client)
+
+
+class TestRequestQueue:
+    """The pool's unit of work is the request: one ``predict_plans`` call
+    is enqueued, coalesced and resolved whole."""
+
+    def test_lone_caller_never_waits_out_gather(self, setup):
+        # A request smaller than the last must not wait gather_s for
+        # plans its caller, blocked on the answer, can never send.
+        model, encoder, plans = setup
+        service = EstimatorService(model, encoder, batch_size=16,
+                                   cache_size=0)
+        with ConcurrentEstimatorService(service, workers=2) as pool:
+            pool.gather_s = 0.2
+            pool.predict_plans(plans[:8])
+            start = time.perf_counter()
+            pool.predict_plans(plans[8:10])
+            elapsed = time.perf_counter() - start
+            flushes = pool.metrics.histogram("serve.pool.flush_size")
+            assert flushes.count == 2  # one flush per call
+        assert elapsed < 0.1
+
+    def test_oversized_request_flushes_in_order(self, setup):
+        model, encoder, plans = setup
+        max_batch = 8
+        sample = (plans * 2)[:3 * max_batch + 5]
+        reference = EstimatorService(
+            model, encoder, batch_size=16, cache_size=0
+        ).predict_plans(sample)
+        served = []
+
+        class Recording(EstimatorService):
+            def predict_caught(self, caught):
+                served.append(list(caught))
+                return super().predict_caught(caught)
+
+        service = Recording(model, encoder, batch_size=16, cache_size=0)
+        with ConcurrentEstimatorService(
+            service, workers=2, max_batch=max_batch
+        ) as pool:
+            got = pool.predict_plans(sample)
+            flushes = pool.metrics.histogram("serve.pool.flush_size")
+            assert flushes.max == max_batch
+            assert flushes.count == 4
+            expected = [pool._catch(plan) for plan in sample]
+        np.testing.assert_array_equal(got, reference)
+        assert [len(call) for call in served] == [max_batch] * 3 + [5]
+        flat = [caught for call in served for caught in call]
+        assert all(a is b for a, b in zip(flat, expected))
+
+    def test_short_answer_rejects_the_batch(self, setup):
+        model, encoder, plans = setup
+
+        class ShortService:
+            batch_size = 8
+            metrics = None
+
+            def predict_plans(self, batch):
+                return np.ones(len(batch) - 1)
+
+        with ConcurrentEstimatorService(ShortService(), workers=1) as pool:
+            with pytest.raises(ValueError, match="2 values for 3 plans"):
+                pool.predict_plans(plans[:3])
+
+    def test_empty_requests_schedule_no_drain(self, setup):
+        model, encoder, plans = setup
+        service = EstimatorService(model, encoder, batch_size=16,
+                                   cache_size=0)
+
+        class CountingExecutor:
+            def __init__(self, inner):
+                self.inner, self.submits = inner, 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                return self.inner.submit(*args, **kwargs)
+
+            def shutdown(self, wait=True):
+                self.inner.shutdown(wait=wait)
+
+        with ConcurrentEstimatorService(service, workers=1) as pool:
+            executor = pool._pool = CountingExecutor(pool._pool)
+            for empty in (pool.predict_plans([]), pool.predict_caught([])):
+                assert empty.dtype == np.float64 and empty.shape == (0,)
+            assert executor.submits == 0
+            assert pool.metrics.histogram(
+                "serve.pool.flush_size").count == 0
+            assert pool.predict_plans(plans[:1]).shape == (1,)
+            assert executor.submits == 1
 
 
 class TestPoolComposition:
