@@ -47,6 +47,8 @@ def test_serve_fleet(benchmark, bench_scale, write_result):
         "results": result["results"],
         "miss_speedup_4": result["miss_speedup_4"],
         "nocache_speedup_4": result["nocache_speedup_4"],
+        "equalcache_speedup_4": result["equalcache_speedup_4"],
+        "equalcache_hit_rate": result["equalcache_hit_rate"],
         "all_bit_identical": result["all_bit_identical"],
         "min_miss_speedup": MIN_MISS_SPEEDUP,
     })

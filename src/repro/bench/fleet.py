@@ -11,7 +11,9 @@ throughput), while four shards hold the whole set between them and serve
 the steady state warm.  That capacity scaling — not parallel forwards,
 which a single-core host cannot grant — is the honest lever, and the
 ``nocache`` row (both sides with caching disabled, reported but ungated)
-makes the distinction visible in the record.
+makes the distinction visible in the record.  The ``equalcache`` control
+(also ungated) gives the single shard the 4-shard fleet's total cache:
+what four shards earn over it is what the topology buys beyond capacity.
 
 Byte identity comes first: before any timing, every fleet configuration
 must answer exactly ``==`` a single :class:`~repro.serve.service.
@@ -229,20 +231,35 @@ def serve_fleet(scale: BenchScale = DEFAULT) -> dict:
                 "bit_identical": identical_flags[-1],
             }
 
-        # Headline: interleaved pairs, 4 shards vs 1, median ratio.
-        fleet_1, fleet_4 = fleets[1], fleets[4]
-        ratios: List[float] = []
-        for _ in range(5):
-            best_1 = best_4 = float("inf")
-            for _ in range(2):
-                elapsed, out = run_clients(fleet_1, 2)
-                best_1 = min(best_1, elapsed)
-            check_replay(out)
-            for _ in range(2):
-                elapsed, out = run_clients(fleet_4, 8)
-                best_4 = min(best_4, elapsed)
-            check_replay(out)
-            ratios.append(best_1 / best_4)
+        def paired_ratios(fleet_1: FleetGateway) -> List[float]:
+            """Interleaved pairs: best-of-2 time of ``fleet_1`` (2
+            clients) over best-of-2 time of the 4-shard fleet (8)."""
+            ratios: List[float] = []
+            for _ in range(5):
+                best_1 = best_4 = float("inf")
+                for _ in range(2):
+                    elapsed, out = run_clients(fleet_1, 2)
+                    best_1 = min(best_1, elapsed)
+                check_replay(out)
+                for _ in range(2):
+                    elapsed, out = run_clients(fleets[4], 8)
+                    best_4 = min(best_4, elapsed)
+                check_replay(out)
+                ratios.append(best_1 / best_4)
+            return ratios
+
+        # Headline: 4 shards vs 1, median ratio.
+        ratios = paired_ratios(fleets[1])
+
+        # Equal-cache control (ungated): one shard whose cache equals the
+        # 4-shard fleet's total.  What the 4 shards still earn over it is
+        # what the topology itself buys, not the extra cache capacity.
+        equalcache_1 = build_fleet(1, 4 * shard_cache)
+        check_identity(equalcache_1)
+        run_clients(equalcache_1, 2)
+        equalcache_ratios = paired_ratios(equalcache_1)
+        equalcache_hit_rate = equalcache_1.stats()["cache_hit_rate"]
+        equalcache_1.close()
 
         # Caching disabled on both sides: what shard count alone buys on
         # this host (ungated — a single core grants no forward
@@ -261,6 +278,7 @@ def serve_fleet(scale: BenchScale = DEFAULT) -> dict:
         for fleet in fleets.values():
             fleet.close()
     miss_speedup_4 = statistics.median(ratios)
+    equalcache_speedup = statistics.median(equalcache_ratios)
 
     table = format_table(
         ["fleet", "req/s", "vs 1 shard", "hit rate", "shed",
@@ -270,7 +288,8 @@ def serve_fleet(scale: BenchScale = DEFAULT) -> dict:
               f"{len(tags)} tenants, working set {working_set} keys, "
               f"{shard_cache} cache entries/shard); paired-median "
               f"4-shard speedup {miss_speedup_4:.2f}x "
-              f"(nocache {nocache_speedup:.2f}x)",
+              f"(nocache {nocache_speedup:.2f}x, equal total cache "
+              f"{equalcache_speedup:.2f}x)",
     )
     return {
         "table": table,
@@ -283,5 +302,7 @@ def serve_fleet(scale: BenchScale = DEFAULT) -> dict:
         "miss_speedup_4": miss_speedup_4,
         "miss_speedup_ratios": ratios,
         "nocache_speedup_4": nocache_speedup,
+        "equalcache_speedup_4": equalcache_speedup,
+        "equalcache_hit_rate": equalcache_hit_rate,
         "all_bit_identical": all(identical_flags),
     }

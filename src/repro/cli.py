@@ -167,6 +167,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ChaosEstimator, ConcurrentEstimatorService, \
         CostFallback, MicroBatcher, ResilientEstimator
 
+    if args.shards and args.workers:
+        raise SystemExit(
+            "error: --workers and --shards are exclusive: a fleet shard "
+            "serves its misses on its own drain thread, with no pool"
+        )
     dace = DACE.load(args.model)
     if args.no_fused:
         dace.service.disable_fused()
@@ -297,7 +302,6 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
         dace.model,
         dace.encoder,
         shards=args.shards,
-        workers=args.workers if args.workers else 1,
         batch_size=args.max_batch,
         metrics=dace.metrics,
         fused=False if args.no_fused else None,
@@ -320,7 +324,7 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
             tags.append(tag)
     tenant_of = [tags[i % len(tags)] for i in range(len(plans))]
 
-    clients = max(args.workers or 0, 2 * args.shards)
+    clients = 2 * args.shards
     shed_total = 0
 
     def _replay():
@@ -635,14 +639,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="serve through a thread pool of N workers: "
                             "closed-loop concurrent replay with dynamic "
-                            "batching (default: single-threaded replay)")
+                            "batching (default: single-threaded replay); "
+                            "not with --shards")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="micro-batcher coalescing size")
     serve.add_argument("--shards", type=int, default=None, metavar="N",
                        help="serve through a FleetGateway of N shards "
                             "(consistent-hash routing, per-tenant LoRA, "
-                            "admission control); --workers then sets the "
-                            "per-shard pool size")
+                            "admission control), replayed by 2N client "
+                            "threads; each shard serves its misses on its "
+                            "own drain thread, so --workers is refused")
     serve.add_argument("--tenants", type=int, default=0, metavar="K",
                        help="with --shards: register K synthetic tenants "
                             "(seeded random LoRA deltas) and spread the "

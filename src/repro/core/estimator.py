@@ -79,18 +79,22 @@ class DACE:
         # front-end that coalesces concurrent single-plan calls into
         # batched forwards (byte-identical to the serial path thanks to
         # the service's deterministic padding buckets).
+        if workers is not None and shards is not None:
+            raise ValueError(
+                "workers and shards are exclusive: a fleet shard serves "
+                "its misses on its own drain thread and has no worker pool"
+            )
         self.workers = workers
         self.shards = shards
         # With shards=N, traffic instead goes through a FleetGateway:
-        # N shard stacks (model replica + registry + worker pool) behind
+        # N shard stacks (model replica + registry + drain thread) behind
         # consistent-hash routing with per-tenant LoRA resolution and
-        # admission control.  workers/resilient then apply *per shard*.
+        # admission control.  resilient then applies *per shard*.
         self.fleet = (
             FleetGateway(
                 self.model,
                 self.encoder,
                 shards=shards,
-                workers=workers if workers is not None else 1,
                 batch_size=self.training.batch_size,
                 metrics=self.metrics,
                 fused=fused,
@@ -100,7 +104,7 @@ class DACE:
         )
         self.pool = (
             ConcurrentEstimatorService(self.service, workers=workers)
-            if workers is not None and shards is None else None
+            if workers is not None else None
         )
         # With resilient=True every predict* call goes through the
         # degradation tiers (retry -> breaker -> optimizer-cost fallback)

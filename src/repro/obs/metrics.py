@@ -177,13 +177,14 @@ class Histogram:
     def max(self) -> float:
         return self._max if self._count else 0.0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """File ``value`` ``count`` times (one lock round trip)."""
         value = float(value)
         bucket = bisect_left(self.bounds, value)
         with self._lock:
-            self._counts[bucket] += 1
-            self._count += 1
-            self._sum += value
+            self._counts[bucket] += count
+            self._count += count
+            self._sum += value * count
             if value < self._min:
                 self._min = value
             if value > self._max:

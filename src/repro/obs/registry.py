@@ -213,7 +213,7 @@ class _NullMetric:
     def set(self, value):
         pass
 
-    def observe(self, value):
+    def observe(self, value, count=1):
         pass
 
     def quantile(self, q):

@@ -95,6 +95,42 @@ def _fanout_consumer(service):
     return None
 
 
+# Shared by every handle answered at birth (a fleet cache hit); never cleared.
+_ANSWERED = threading.Event()
+_ANSWERED.set()
+
+
+class CatchMemo:
+    """``catch_plan`` memoized by plan identity.
+
+    Closed-loop callers resubmit the same PlanNode objects, and
+    re-snapshotting one costs ~40us per request.  Entries hold the plan,
+    so its id cannot be recycled while the entry lives; hits still check
+    ``is``.  Callers that mutate a submitted plan in place must not reuse
+    the object (snapshot semantics).  The hit path is lock-free
+    (``dict.get`` is atomic under the GIL and entries are immutable
+    tuples); only inserts and the eviction sweep take the leaf lock.
+    """
+
+    def __init__(self, capacity: int = 4096) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[int, tuple]" = OrderedDict()
+        self._lock = threading.Lock()  # leaf; never nested outward
+
+    def catch(self, plan: PlanNode) -> CaughtPlan:
+        """Snapshot ``plan`` on the calling thread."""
+        key = id(plan)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is plan:
+            return entry[1]
+        caught = catch_plan(plan)
+        with self._lock:
+            self._entries[key] = (plan, caught)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return caught
+
+
 class PoolPrediction:
     """Handle for one request on the pool's queue; ``result()`` blocks.
 
@@ -104,16 +140,17 @@ class PoolPrediction:
     one list of values.  Unlike :class:`~repro.serve.batching.PendingPrediction`
     there is nothing to flush: a pending handle always has an active
     drain working toward it, so ``result()`` just waits for resolution or
-    rejection.
+    rejection.  A handle built with ``values`` is answered at birth.
     """
 
     __slots__ = ("_items", "_values", "_error", "_done", "_enqueued")
 
-    def __init__(self, items: list, enqueued: float) -> None:
+    def __init__(self, items: list, enqueued: float,
+                 values: Optional[List[float]] = None) -> None:
         self._items = items
-        self._values: Optional[List[float]] = None
+        self._values = values
         self._error: Optional[BaseException] = None
-        self._done = threading.Event()
+        self._done = threading.Event() if values is None else _ANSWERED
         self._enqueued = enqueued
 
     @property
@@ -233,16 +270,7 @@ class ConcurrentEstimatorService:
             if target is not None and target.encode_fanout is None:
                 target.encode_fanout = self._fanout_hook
                 self._fanout_target = target
-        # Identity-keyed catch memo: closed-loop callers resubmit the
-        # same PlanNode objects, and re-snapshotting one costs ~40us of
-        # pure recomputation per request.  Entries hold a strong
-        # reference to the plan, so an id can never be recycled while
-        # its entry is alive; lookups still verify `is` before trusting
-        # a hit.  Callers that mutate a submitted plan in place must not
-        # reuse the same object (snapshot semantics, as documented).
-        self._catch_memo: "OrderedDict[int, tuple]" = OrderedDict()
-        self._catch_memo_capacity = 4096
-        self._catch_lock = threading.Lock()  # leaf; never nested outward
+        self._catch = CatchMemo().catch
         # MRO probe, not hasattr: a delegating wrapper would pass
         # hasattr while handing back the inner service's bound method,
         # silently bypassing its retry/breaker/chaos tiers.  Wrappers
@@ -270,25 +298,6 @@ class ConcurrentEstimatorService:
     # ------------------------------------------------------------------ #
     # Queue + drain
     # ------------------------------------------------------------------ #
-    def _catch(self, plan: PlanNode) -> CaughtPlan:
-        """Snapshot a plan on the calling thread, memoized by identity.
-
-        The hit path is lock-free: ``dict.get`` is atomic under the GIL,
-        and entries are immutable tuples, so a concurrent insert can at
-        worst make a reader miss and recompute.  Only inserts (and the
-        insertion-order eviction sweep) serialize on the leaf lock.
-        """
-        key = id(plan)
-        entry = self._catch_memo.get(key)
-        if entry is not None and entry[0] is plan:
-            return entry[1]
-        caught = catch_plan(plan)
-        with self._catch_lock:
-            self._catch_memo[key] = (plan, caught)
-            while len(self._catch_memo) > self._catch_memo_capacity:
-                self._catch_memo.popitem(last=False)
-        return caught
-
     def submit(self, plan: PlanNode) -> PoolPrediction:
         """Enqueue one plan; a drain resolves the handle asynchronously.
 
@@ -300,13 +309,8 @@ class ConcurrentEstimatorService:
         return self._enqueue([item])[0]
 
     def submit_caught(self, caught: CaughtPlan) -> PoolPrediction:
-        """Enqueue an already-caught plan (front-ends that snapshot early).
-
-        The fleet gateway catches at its own admission edge — routing and
-        cache lookups need the fingerprint before a shard is even chosen —
-        so the pool must accept the snapshot as-is rather than requiring
-        the original ``PlanNode``.  Only legal when the wrapped service
-        itself serves caught plans.
+        """Enqueue an already-caught plan (front-ends that snapshot
+        early).  Only legal when the wrapped service serves caught plans.
         """
         self._require_caught()
         return self._enqueue([caught])[0]

@@ -4,13 +4,12 @@ DACE's deployment story (paper Sec. IV-D) is one pre-trained model plus a
 few-KB LoRA adapter set per database — i.e. per *tenant*.  The fleet
 layer turns that into a serving topology:
 
-- **N shards**, each a full serving stack: a deep-copied model replica,
-  an :class:`~repro.serve.service.EstimatorService` (fused kernel,
+- **N shards**, each a model replica with an
+  :class:`~repro.serve.service.EstimatorService` (fused kernel,
   deterministic pad buckets, shared encoder), optionally wrapped in
-  chaos/resilience tiers, fronted by a
-  :class:`~repro.serve.concurrent.ConcurrentEstimatorService` worker
-  pool, plus a per-shard :class:`~repro.serve.registry.ModelRegistry`
-  holding every tenant's adapters;
+  chaos/resilience tiers, a per-shard
+  :class:`~repro.serve.registry.ModelRegistry` holding every tenant's
+  adapters, and one drain thread that calls that stack directly;
 - a **consistent-hash ring** (:class:`ConsistentHashRing`) keyed on the
   tenant-qualified plan fingerprint.  Affinity is the point: the same
   ``(tenant, plan)`` always lands on the same shard, so that shard's
@@ -22,11 +21,13 @@ layer turns that into a serving topology:
   registry under the shard's tenant lock — swaps are serialized against
   in-flight batches and against register/evict, so a forward can never
   run half-swapped weights;
-- **admission control + load shedding**: each shard's queue is bounded
-  (``max_queue``).  A request arriving past the watermark is not queued
-  — it resolves immediately from the :class:`~repro.serve.resilience.
+- **requests and admission control**: a call answers its cache hits at
+  the gateway and queues its misses as one request per owning shard.
+  Each shard's queue is bounded at ``max_queue`` plans (an empty queue
+  admits any one request).  A request past the watermark is not queued
+  — it resolves at once from the :class:`~repro.serve.resilience.
   CostFallback` tier (the optimizer's own cost estimate, always finite)
-  with ``FleetPrediction.shed`` set, and ``fleet.shed`` counts it.
+  with ``FleetPrediction.shed`` set, and ``fleet.shed`` counts its plans.
 
 **Caching and correctness.**  The fleet prediction cache is per-shard,
 keyed ``(tenant, fingerprint)``.  Entries stay valid across adapter
@@ -49,16 +50,15 @@ exactly ``==`` a single ``EstimatorService`` with the matching tag
 activated.  ``tests/serve/test_fleet.py`` pins this for shards 1..8.
 
 **Lock order** (extends the audited serving-stack order):
-shard tenant lock → pool queue lock → service internals (cache mutex →
-metric lock).  The shard queue condition is a leaf taken before the
-tenant lock is *released*, never while holding any inner lock.  The
-gateway itself holds no lock across a shard call.
+shard tenant lock → service internals (cache mutex → metric lock).  The
+shard queue condition is a leaf.  The gateway itself holds no lock
+across a shard call.
 
-Metrics (one shared registry): ``fleet.shards`` /
+Metrics (one shared registry, counting plans): ``fleet.shards`` /
 ``fleet.shard<i>.depth`` gauges, ``fleet.requests`` / ``fleet.routed`` /
 ``fleet.shed`` / ``fleet.swaps`` counters, ``fleet.cache.*`` hit/miss
 counters aggregated across shards, and a ``fleet.wait_seconds``
-histogram of submit→resolve latency.
+histogram of call→answer latency.
 """
 
 from __future__ import annotations
@@ -66,18 +66,20 @@ from __future__ import annotations
 import bisect
 import copy
 import hashlib
+import math
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.plan import PlanNode
-from repro.featurize.catcher import CaughtPlan, catch_plan
+from repro.featurize.catcher import CaughtPlan
 from repro.obs import MetricsRegistry
 from repro.serve.cache import CacheStats, LRUCache
-from repro.serve.concurrent import ConcurrentEstimatorService
+from repro.serve.concurrent import CatchMemo, PoolPrediction
 from repro.serve.registry import ModelRegistry
 from repro.serve.resilience import CostFallback, ResilientEstimator
 from repro.serve.service import DEFAULT_PAD_BASE, EstimatorService
@@ -154,84 +156,31 @@ class ConsistentHashRing:
         return self._owners[index]
 
 
-class FleetPrediction:
-    """Handle for a request admitted to the fleet; ``result()`` blocks.
-
-    ``shed`` marks predictions answered by the admission-control
-    fallback tier instead of the learned path — always finite, but
-    degraded — so callers can distinguish a real estimate from a
-    load-shedding answer.
+class FleetPrediction(PoolPrediction):
+    """Handle for one fleet request: a :class:`PoolPrediction` of one
+    call's misses on one shard, or of one ``submit``.  ``shed`` marks a
+    request answered by the admission-control fallback tier — always
+    finite, but degraded — instead of the learned path.
     """
 
-    __slots__ = ("tenant", "shed", "_caught", "_value", "_error", "_done",
-                 "_enqueued")
+    __slots__ = ("tenant", "shed")
 
-    def __init__(self, caught: CaughtPlan, tenant: str,
-                 enqueued: float) -> None:
+    def __init__(self, items: list, tenant: str, enqueued: float,
+                 values: Optional[List[float]] = None) -> None:
+        super().__init__(items, enqueued, values)
         self.tenant = tenant
         self.shed = False
-        self._caught = caught
-        self._value: Optional[float] = None
-        self._error: Optional[BaseException] = None
-        self._done = threading.Event()
-        self._enqueued = enqueued
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
-    def failed(self) -> bool:
-        return self._error is not None
-
-    def exception(self) -> Optional[BaseException]:
-        return self._error
-
-    def result(self, timeout: Optional[float] = None) -> float:
-        """Predicted latency (ms); raises the rejection cause if any."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"prediction not resolved within {timeout} seconds"
-            )
-        if self._error is not None:
-            raise self._error
-        assert self._value is not None
-        return self._value
-
-    def _resolve(self, value: float) -> None:
-        self._value = value
-        self._done.set()
-
-    def _reject(self, error: BaseException) -> None:
-        self._error = error
-        self._done.set()
-
-
-class _ShardEstimatorView:
-    """The minimal estimator surface a shard's ModelRegistry needs.
-
-    The registry wants ``.model`` (adapter parameters, enable/disable
-    LoRA) and ``.service`` (cache invalidation on swap) — handing it the
-    shard's own pair keeps swaps scoped to this shard's replica instead
-    of whatever full DACE object built the fleet.
-    """
-
-    __slots__ = ("model", "service")
-
-    def __init__(self, model, service) -> None:
-        self.model = model
-        self.service = service
 
 
 class FleetShard:
-    """One serving shard: model replica + registry + pool + bounded queue.
+    """One serving shard: model replica + registry + bounded queue.
 
     Requests arrive pre-caught through :meth:`offer` (non-blocking
     admission check); a dedicated drain thread serves the queue in
-    waves, grouping each wave by tenant so one adapter activation covers
-    the whole group.  All tenant-visible state transitions — adapter
-    swap, register, evict, fleet-cache insert — serialize on
-    ``_tenant_lock``.
+    waves of whole requests, grouping each wave by tenant so one adapter
+    activation and one estimator call cover the whole group.  All
+    tenant-visible state transitions — adapter swap, register, evict,
+    fleet-cache insert — serialize on ``_tenant_lock``.
     """
 
     def __init__(
@@ -242,7 +191,6 @@ class FleetShard:
         *,
         batch_size: int = 64,
         cache_size: int = DEFAULT_SHARD_CACHE,
-        workers: int = 1,
         max_queue: int = DEFAULT_MAX_QUEUE,
         metrics: Optional[MetricsRegistry] = None,
         fused: Optional[bool] = None,
@@ -282,10 +230,7 @@ class FleetShard:
                 metrics=self.metrics,
             )
         self.estimator = estimator
-        self.registry = ModelRegistry(
-            _ShardEstimatorView(self.model, self.service)
-        )
-        self.pool = ConcurrentEstimatorService(estimator, workers=workers)
+        self.registry = self._new_registry()
         self.cache = LRUCache(
             cache_size,
             stats=CacheStats(self.metrics, prefix="fleet.cache"),
@@ -296,18 +241,19 @@ class FleetShard:
         # cache inserts against each other (never held while blocking on
         # the queue condition).
         self._tenant_lock = threading.Lock()
-        self._queue: List[FleetPrediction] = []
+        self._queue: "deque[FleetPrediction]" = deque()
+        self._queued_plans = 0
         self._cond = threading.Condition(threading.Lock())
         self._closed = False
         self._depth_gauge = self.metrics.gauge(
             f"fleet.shard{shard_id}.depth",
-            help="requests queued on this shard",
+            help="plans queued on this shard",
         )
         self._swaps = self.metrics.counter(
             "fleet.swaps", help="tenant adapter activations across shards"
         )
         self._wait_times = self.metrics.histogram(
-            "fleet.wait_seconds", help="submit-to-resolve latency"
+            "fleet.wait_seconds", help="call-to-answer latency per plan"
         )
         # Degradation watch: if any prediction in a wave came from a
         # resilience fallback, the wave's values must not become sticky
@@ -328,6 +274,12 @@ class FleetShard:
     # ------------------------------------------------------------------ #
     # Tenant management (called via the gateway)
     # ------------------------------------------------------------------ #
+    def _new_registry(self) -> ModelRegistry:
+        # This shard's own model/service pair: swaps stay on its replica.
+        return ModelRegistry(
+            SimpleNamespace(model=self.model, service=self.service)
+        )
+
     def has_tenant(self, tag: str) -> bool:
         return tag in self.registry
 
@@ -353,78 +305,97 @@ class FleetShard:
     # ------------------------------------------------------------------ #
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        """Plans queued on this shard."""
+        return self._queued_plans
 
-    def offer(self, handle: FleetPrediction) -> bool:
-        """Admit a request, or refuse it (shed) past the watermark."""
+    def offer(self, request: FleetPrediction) -> bool:
+        """Admit a request whole, or refuse it (shed) past the
+        watermark.  An empty queue admits any one request, so one larger
+        than ``max_queue`` plans is not shed forever."""
+        size = len(request._items)
         with self._cond:
             if self._closed:
                 raise RuntimeError("fleet shard is closed")
-            if len(self._queue) >= self.max_queue:
+            queued = self._queued_plans
+            if queued and queued + size > self.max_queue:
                 return False
-            self._queue.append(handle)
-            self._depth_gauge.set(len(self._queue))
+            self._queue.append(request)
+            self._queued_plans = queued + size
+            self._depth_gauge.set(self._queued_plans)
             self._cond.notify()
         return True
 
     def _drain(self) -> None:
+        queue = self._queue
         while True:
             with self._cond:
-                while not self._queue and not self._closed:
+                while not queue and not self._closed:
                     self._cond.wait()
-                if not self._queue:
+                if not queue:
                     return  # closed and fully drained
-                wave = self._queue[:self.max_batch]
-                del self._queue[:self.max_batch]
-                self._depth_gauge.set(len(self._queue))
-            self._serve_wave(wave)
-
-    def _serve_wave(self, wave: Sequence[FleetPrediction]) -> None:
-        """Serve one wave of requests, one tenant group at a time."""
-        groups: "OrderedDict[str, List[FleetPrediction]]" = OrderedDict()
-        for handle in wave:
-            groups.setdefault(handle.tenant, []).append(handle)
-        for tenant, group in groups.items():
-            self._serve_group(tenant, group)
-        now = time.monotonic()
-        self._wait_times.observe_many(
-            [now - handle._enqueued for handle in wave]
-        )
+                # Whole requests up to max_batch plans; each holds at
+                # most max_batch, so the first always fits.
+                wave = [queue.popleft()]
+                size = len(wave[0]._items)
+                while queue and size + len(queue[0]._items) <= self.max_batch:
+                    size += len(queue[0]._items)
+                    wave.append(queue.popleft())
+                self._queued_plans -= size
+                self._depth_gauge.set(self._queued_plans)
+            groups: Dict[str, List[FleetPrediction]] = {}
+            for request in wave:
+                groups.setdefault(request.tenant, []).append(request)
+            for tenant, group in groups.items():
+                self._serve_group(tenant, group)
+            now = time.monotonic()
+            self._wait_times.observe_many(
+                [now - request._enqueued for request in wave
+                 for _ in request._items]
+            )
 
     def _serve_group(self, tenant: str,
                      group: List[FleetPrediction]) -> None:
-        with self._tenant_lock:
-            if tenant not in self.registry:
-                error = KeyError(
-                    f"unknown tenant {tenant!r} on shard {self.shard_id}"
-                )
-                for handle in group:
-                    handle._reject(error)
-                return
-            if self.registry.active_tag != tenant:
-                self.registry.activate(tenant)
-                self._swaps.inc()
-            degraded_before = self._degraded_counter.value
-            try:
-                values = self.pool.predict_caught(
-                    [handle._caught for handle in group]
-                )
-            except BaseException as error:
-                for handle in group:
-                    handle._reject(error)
-                return
-            # Cache inserts stay inside the tenant lock: an evict/
-            # re-register cannot interleave between the forward above and
-            # the insert below, so a value computed under old adapters
-            # can never outlive them in the cache.
-            cacheable = degraded_before == self._degraded_counter.value
-            for handle, value in zip(group, values):
-                value = float(value)
-                if cacheable and np.isfinite(value):
-                    self.cache.put(
-                        (tenant, handle._caught.fingerprint()), value
+        items = [item for request in group for item in request._items]
+        try:
+            with self._tenant_lock:
+                if tenant not in self.registry:
+                    raise KeyError(
+                        f"unknown tenant {tenant!r} on shard {self.shard_id}"
                     )
-                handle._resolve(value)
+                if self.registry.active_tag != tenant:
+                    self.registry.activate(tenant)
+                    self._swaps.inc()
+                degraded_before = self._degraded_counter.value
+                values = np.asarray(
+                    self.estimator.predict_caught(items), dtype=np.float64
+                ).tolist()
+                if len(values) != len(items):
+                    raise ValueError(
+                        f"estimator returned {len(values)} values "
+                        f"for {len(items)} plans"
+                    )
+                # Cache inserts stay inside the tenant lock: an evict/
+                # re-register cannot interleave between the forward above
+                # and the insert below, so a value computed under old
+                # adapters can never outlive them in the cache.
+                if degraded_before == self._degraded_counter.value:
+                    for caught, value in zip(items, values):
+                        if math.isfinite(value):
+                            self.cache.put(
+                                (tenant, caught.fingerprint()), value
+                            )
+        except BaseException as error:
+            # Reject on BaseException too and keep draining: these
+            # requests are claimed, and an unresolved claimed request
+            # blocks result() forever.
+            for request in group:
+                request._reject(error)
+            return
+        start = 0
+        for request in group:
+            stop = start + len(request._items)
+            request._resolve(values[start:stop])
+            start = stop
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -443,14 +414,12 @@ class FleetShard:
                 self.model.enable_lora()
             else:
                 self.model.disable_lora()
-            self.registry = ModelRegistry(
-                _ShardEstimatorView(self.model, self.service)
-            )
+            self.registry = self._new_registry()
             self.service.invalidate()
             self.cache.clear()
 
     def close(self) -> None:
-        """Drain outstanding work, stop the drain thread, free the pool."""
+        """Drain outstanding work and stop the drain thread."""
         with self._cond:
             if self._closed:
                 return
@@ -459,21 +428,21 @@ class FleetShard:
         self._drain_thread.join()
         # The drain loop only exits with an empty queue, but guard
         # against future refactors stranding a blocked caller.
-        for handle in self._queue:
-            handle._reject(RuntimeError("fleet shard is closed"))
-        self._queue = []
-        self.pool.close()
+        for request in self._queue:
+            request._reject(RuntimeError("fleet shard is closed"))
+        self._queue.clear()
+        self._queued_plans = 0
 
 
 class FleetGateway:
     """Routes multi-tenant prediction traffic across N serving shards.
 
-    The front door of the fleet: ``submit(plan, tenant)`` catches the
-    plan on the calling thread, routes it by consistent hash of the
-    tenant-qualified fingerprint, answers warm keys straight from the
-    owning shard's cache, and otherwise enqueues on that shard — or
-    sheds to the cost fallback when the shard is past its admission
-    watermark.  Accounting invariant (pinned by tests)::
+    A call (``predict_plans``, ``predict_caught`` or a one-plan
+    ``submit``) catches its plans on the calling thread and routes each
+    by consistent hash of the tenant-qualified fingerprint.  Warm keys
+    are answered from the owning shard's cache; the misses are queued as
+    one request per owning shard, or shed whole past its admission
+    watermark.  Counters, in plans, move once per call::
 
         fleet.requests == fleet.cache.hits + fleet.routed + fleet.shed
 
@@ -487,7 +456,6 @@ class FleetGateway:
         encoder,
         shards: int = 2,
         *,
-        workers: int = 1,
         batch_size: int = 64,
         cache_size: int = DEFAULT_SHARD_CACHE,
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -502,27 +470,15 @@ class FleetGateway:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.encoder = encoder
-        self._ctor_kwargs = dict(
-            workers=workers, batch_size=batch_size, cache_size=cache_size,
-            max_queue=max_queue, replicas=replicas, fused=fused,
-            pad_base=pad_base, resilient=resilient,
-            shard_wrapper=shard_wrapper,
+        shard_kwargs = dict(
+            batch_size=batch_size, cache_size=cache_size,
+            max_queue=max_queue, fused=fused, pad_base=pad_base,
+            resilient=resilient, shard_wrapper=shard_wrapper,
         )
+        self._ctor_kwargs = dict(shard_kwargs, replicas=replicas)
         self.shards = [
-            FleetShard(
-                index,
-                model,
-                encoder,
-                batch_size=batch_size,
-                cache_size=cache_size,
-                workers=workers,
-                max_queue=max_queue,
-                metrics=self.metrics,
-                fused=fused,
-                pad_base=pad_base,
-                resilient=resilient,
-                shard_wrapper=shard_wrapper,
-            )
+            FleetShard(index, model, encoder, metrics=self.metrics,
+                       **shard_kwargs)
             for index in range(shards)
         ]
         self.ring = ConsistentHashRing(range(shards), replicas=replicas)
@@ -535,41 +491,24 @@ class FleetGateway:
         )
         self._shards_gauge.set(shards)
         self._requests = self.metrics.counter(
-            "fleet.requests", help="predictions requested from the gateway"
+            "fleet.requests", help="plans requested from the gateway"
         )
         self._routed = self.metrics.counter(
-            "fleet.routed", help="requests enqueued on a shard"
+            "fleet.routed", help="plans enqueued on a shard"
         )
         self._shed = self.metrics.counter(
-            "fleet.shed", help="requests answered by the shedding fallback"
+            "fleet.shed", help="plans answered by the shedding fallback"
         )
         self._wait_times = self.metrics.histogram(
-            "fleet.wait_seconds", help="submit-to-resolve latency"
+            "fleet.wait_seconds", help="call-to-answer latency per plan"
         )
-        # Identity-keyed catch memo, same contract as the concurrent
-        # pool's: closed-loop callers resubmit the same PlanNode objects
-        # and must not pay a ~40us re-snapshot per request.
-        self._catch_memo: "OrderedDict[int, tuple]" = OrderedDict()
-        self._catch_memo_capacity = 4096
-        self._catch_lock = threading.Lock()
+        self._catch = CatchMemo().catch
         self._closed = False
 
     # ------------------------------------------------------------------ #
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    def _catch(self, plan: PlanNode) -> CaughtPlan:
-        key = id(plan)
-        entry = self._catch_memo.get(key)
-        if entry is not None and entry[0] is plan:
-            return entry[1]
-        caught = catch_plan(plan)
-        with self._catch_lock:
-            self._catch_memo[key] = (plan, caught)
-            while len(self._catch_memo) > self._catch_memo_capacity:
-                self._catch_memo.popitem(last=False)
-        return caught
 
     def shard_for(self, caught: CaughtPlan, tenant: str) -> FleetShard:
         """The shard owning this (tenant, plan) pair — pure routing."""
@@ -579,6 +518,53 @@ class FleetGateway:
     # ------------------------------------------------------------------ #
     # Request path
     # ------------------------------------------------------------------ #
+    def _route(self, caught: Sequence[CaughtPlan], tenant: str):
+        """Answer a call's cache hits; queue its misses per shard.
+
+        Returns the values (``None`` where a miss is pending) and one
+        ``(positions, request)`` pair per request: one shard's misses in
+        submission order, split at ``max_batch``.  A refused request is
+        answered whole by the cost tier: bounded latency beats a perfect
+        estimate under overload.
+        """
+        if self._closed:
+            raise RuntimeError("fleet is closed")
+        start = time.monotonic()
+        self._requests.inc(len(caught))
+        values: List[Optional[float]] = [None] * len(caught)
+        misses: Dict[FleetShard, tuple] = {}
+        for position, plan in enumerate(caught):
+            shard = self.shard_for(plan, tenant)
+            value = shard.cache.get((tenant, plan.fingerprint()))
+            if value is not None:
+                values[position] = value
+                continue
+            positions, plans = misses.setdefault(shard, ([], []))
+            positions.append(position)
+            plans.append(plan)
+        pending, routed, shed = [], 0, 0
+        for shard, (positions, plans) in misses.items():
+            step = shard.max_batch
+            for first in range(0, len(plans), step):
+                request = FleetPrediction(plans[first:first + step], tenant,
+                                          start)
+                if shard.offer(request):
+                    routed += len(request._items)
+                else:
+                    request.shed = True
+                    request._resolve(self._shed_fallback.predict_caught(
+                        request._items).tolist())
+                    shed += len(request._items)
+                pending.append((positions[first:first + step], request))
+        if routed:
+            self._routed.inc(routed)
+        if shed:
+            self._shed.inc(shed)
+        answered = len(caught) - routed
+        if answered:
+            self._wait_times.observe(time.monotonic() - start, answered)
+        return values, pending
+
     def submit(self, plan: PlanNode,
                tenant: str = ModelRegistry.BASE_TAG) -> FleetPrediction:
         """Route one plan; returns a handle that resolves asynchronously.
@@ -592,28 +578,10 @@ class FleetGateway:
     def submit_caught(self, caught: CaughtPlan,
                       tenant: str = ModelRegistry.BASE_TAG
                       ) -> FleetPrediction:
-        if self._closed:
-            raise RuntimeError("fleet is closed")
-        self._requests.inc()
-        handle = FleetPrediction(caught, tenant, time.monotonic())
-        shard = self.shard_for(caught, tenant)
-        cached = shard.cache.get((tenant, caught.fingerprint()))
-        if cached is not None:
-            handle._resolve(cached)
-            self._wait_times.observe(time.monotonic() - handle._enqueued)
-            return handle
-        if shard.offer(handle):
-            self._routed.inc()
-            return handle
-        # Past the watermark: answer from the cost tier instead of
-        # queueing — bounded latency beats a perfect estimate under
-        # overload.  Never cached (degraded), always finite.
-        value = float(self._shed_fallback.predict_caught([caught])[0])
-        handle.shed = True
-        handle._resolve(value)
-        self._shed.inc()
-        self._wait_times.observe(time.monotonic() - handle._enqueued)
-        return handle
+        values, pending = self._route([caught], tenant)
+        if pending:
+            return pending[0][1]
+        return FleetPrediction([caught], tenant, time.monotonic(), values)
 
     def predict_plan(self, plan: PlanNode,
                      tenant: str = ModelRegistry.BASE_TAG) -> float:
@@ -621,13 +589,19 @@ class FleetGateway:
 
     def predict_plans(self, plans: Sequence[PlanNode],
                       tenant: str = ModelRegistry.BASE_TAG) -> np.ndarray:
-        handles = [self.submit(plan, tenant) for plan in plans]
-        return np.array([handle.result() for handle in handles])
+        """Predicted latency (ms) per plan, routed as one request."""
+        return self.predict_caught([self._catch(plan) for plan in plans],
+                                   tenant)
 
     def predict_caught(self, caught: Sequence[CaughtPlan],
                        tenant: str = ModelRegistry.BASE_TAG) -> np.ndarray:
-        handles = [self.submit_caught(plan, tenant) for plan in caught]
-        return np.array([handle.result() for handle in handles])
+        """``predict_plans`` for pre-caught plans: hits answered inline,
+        misses queued as one request per owning shard."""
+        values, pending = self._route(caught, tenant)
+        for positions, request in pending:
+            for position, value in zip(positions, request._wait()):
+                values[position] = value
+        return np.array(values, dtype=np.float64)
 
     def predict(self, dataset,
                 tenant: str = ModelRegistry.BASE_TAG) -> np.ndarray:

@@ -69,17 +69,27 @@ class ModelRegistry:
 
     def register(self, tag: str, adapter_state: Dict[str, np.ndarray]) -> None:
         """Store an externally produced adapter set under ``tag``."""
-        expected = set(self._adapters[self.BASE_TAG])
+        base = self._adapters[self.BASE_TAG]
+        expected = set(base)
         provided = set(adapter_state)
         if provided != expected:
             raise KeyError(
                 f"adapter state mismatch: missing={sorted(expected - provided)} "
                 f"unexpected={sorted(provided - expected)}"
             )
-        self._adapters[tag] = {
+        arrays = {
             name: np.asarray(array, dtype=np.float64).copy()
             for name, array in adapter_state.items()
         }
+        # A wrong-shaped array would register fine and then fail every
+        # forward of this tag with a matmul core-dimension error.
+        for name, array in arrays.items():
+            if array.shape != base[name].shape:
+                raise ValueError(
+                    f"adapter {name!r} has shape {array.shape}, "
+                    f"expected {base[name].shape}"
+                )
+        self._adapters[tag] = arrays
         self._lora_enabled[tag] = True
         if tag == self.active_tag:
             # Re-registration replaced the live adapter set: load the new

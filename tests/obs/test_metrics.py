@@ -189,6 +189,16 @@ class TestObserveMany:
         histogram.observe_many([])
         assert histogram.count == 0
 
+    def test_observe_count_matches_repeated_value(self):
+        counted, repeated = Histogram("a"), Histogram("b")
+        for value, count in ((0.002, 3), (4.0, 1), (0.3, 5)):
+            counted.observe(value, count)
+            repeated.observe_many([value] * count)
+        assert counted.count == repeated.count == 9
+        assert counted.sum == pytest.approx(repeated.sum)
+        assert (counted.min, counted.max) == (repeated.min, repeated.max)
+        assert counted.bucket_counts() == repeated.bucket_counts()
+
 
 class TestThreadSafety:
     """Regression tests for lost updates under free-threaded serving.

@@ -35,13 +35,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import DACEModel
+from repro.core import DACE, DACEModel
 from repro.featurize import PlanEncoder, catch_plan
 from repro.obs import MetricsRegistry
 from repro.serve import (
     ChaosConfig,
     ChaosEstimator,
     ConsistentHashRing,
+    CostFallback,
     EstimatorService,
     FleetGateway,
     ModelRegistry,
@@ -358,6 +359,12 @@ class TestFleetByteIdentity:
             FleetGateway(model, encoder, shards=0,
                          metrics=MetricsRegistry())
 
+    def test_dace_refuses_workers_with_shards(self):
+        """A shard serves on its own drain thread; there is no per-shard
+        pool for ``workers`` to size."""
+        with pytest.raises(ValueError, match="exclusive"):
+            DACE(shards=2, workers=2)
+
 
 # ---------------------------------------------------------------------- #
 # Stale-cache regression: re-register must drop the tenant's entries
@@ -573,3 +580,181 @@ class TestLoadShedding:
                     reference[ModelRegistry.BASE_TAG][index]
                 )
                 assert not handle.shed
+
+
+# ---------------------------------------------------------------------- #
+# Request path: one call is one request per owning shard
+# ---------------------------------------------------------------------- #
+class TestRequestPath:
+    SLOW = ChaosConfig(latency_rate=1.0, latency_s=0.02, seed=STRESS_SEED)
+
+    def _slow_fleet(self, model, encoder, **kwargs):
+        return FleetGateway(
+            model, encoder, shards=1, metrics=MetricsRegistry(),
+            shard_wrapper=lambda service: ChaosEstimator(service, self.SLOW),
+            **kwargs,
+        )
+
+    def test_mixed_call_matches_reference_and_submit(self, fleet_setup):
+        """Calls mixing warm and cold plans across shards, two tenants
+        at once: exact ``==`` the single service and per-plan submit."""
+        model, encoder, plans, tenants, reference = fleet_setup
+        tags = list(tenants)[:2]
+        probe = list(range(48))
+        with FleetGateway(model, encoder, shards=3, batch_size=8,
+                          metrics=MetricsRegistry()) as fleet:
+            for tag in tags:
+                fleet.register_tenant(tag, tenants[tag])
+                fleet.predict_plans([plans[i] for i in probe[::3]], tag)
+            caught = [catch_plan(plans[i]) for i in probe]
+            warm = {c.fingerprint() for c in caught[::3]}
+            cold = [c for c in caught if c.fingerprint() not in warm]
+            assert len({fleet.shard_for(c, tags[0]).shard_id
+                        for c in cold}) >= 2, "misses never spanned shards"
+            hits_before = fleet.stats()["cache_hits"]
+            got = {}
+
+            def call(index):
+                tag = tags[index]
+                got[tag] = fleet.predict_plans(
+                    [plans[i] for i in probe], tag
+                )
+
+            _hammer(2, call)
+            assert fleet.stats()["cache_hits"] - hits_before == 2 * (
+                len(probe) - len(cold))
+            for tag in tags:
+                np.testing.assert_array_equal(got[tag],
+                                              reference[tag][probe])
+            _assert_accounting(fleet)
+        with FleetGateway(model, encoder, shards=3, batch_size=8,
+                          metrics=MetricsRegistry()) as fleet:
+            for tag in tags:
+                fleet.register_tenant(tag, tenants[tag])
+            for tag in tags:
+                handles = [fleet.submit(plans[i], tag) for i in probe]
+                np.testing.assert_array_equal(
+                    [handle.result(timeout=120) for handle in handles],
+                    got[tag],
+                )
+
+    def test_accounting_per_plan_with_shedding(self, fleet_setup):
+        """Concurrent multi-plan calls against a tiny queue: some plans
+        shed, and every plan is counted exactly once."""
+        model, encoder, plans, _, _ = fleet_setup
+        sizes = [1, 5, 3, 8, 2, 7]
+        with self._slow_fleet(model, encoder, batch_size=4,
+                              max_queue=4) as fleet:
+            def client(index):
+                offset = 16 * index
+                for size in sizes:
+                    fleet.predict_plans(plans[offset:offset + size])
+
+            _hammer(4, client)
+            stats = fleet.stats()
+            assert stats["requests"] == 4 * sum(sizes)
+            assert stats["shed"] > 0, "watermark never reached"
+            assert stats["routed"] > 0
+            _assert_accounting(fleet)
+            assert fleet.queue_depths() == [0]
+            waits = fleet.metrics.histogram("fleet.wait_seconds")
+            assert waits.count == stats["requests"]
+
+    def test_oversized_call_served_or_shed_whole(self, fleet_setup):
+        """A call larger than both max_batch and max_queue returns, and
+        each max_batch slice is served or shed as a whole."""
+        model, encoder, plans, _, reference = fleet_setup
+        burst = plans[:40]
+        step = 4
+        fallback = CostFallback(encoder.scaler).predict_caught(
+            [catch_plan(plan) for plan in burst]
+        )
+        out = []
+        with self._slow_fleet(model, encoder, batch_size=step,
+                              max_queue=6) as fleet:
+            caller = threading.Thread(
+                target=lambda: out.append(fleet.predict_plans(burst))
+            )
+            caller.start()
+            caller.join(timeout=120)
+            assert not caller.is_alive(), "oversized call hung"
+            values = out[0]
+            stats = fleet.stats()
+            served = 0
+            for first in range(0, len(burst), step):
+                chunk = slice(first, first + step)
+                learned = reference[ModelRegistry.BASE_TAG][chunk]
+                if np.array_equal(values[chunk], learned):
+                    served += step
+                else:
+                    np.testing.assert_array_equal(values[chunk],
+                                                  fallback[chunk])
+            assert served == stats["routed"] > 0
+            assert stats["shed"] == len(burst) - served
+            _assert_accounting(fleet)
+
+    def test_empty_call_touches_nothing(self, fleet_setup, monkeypatch):
+        model, encoder, _, _, _ = fleet_setup
+        with FleetGateway(model, encoder, shards=2,
+                          metrics=MetricsRegistry()) as fleet:
+            def untouchable(*args):
+                raise AssertionError("an empty call reached a shard")
+
+            for shard in fleet.shards:
+                monkeypatch.setattr(shard, "offer", untouchable)
+                monkeypatch.setattr(shard.cache, "get", untouchable)
+            stats = fleet.stats()
+            waits = fleet.metrics.histogram("fleet.wait_seconds").count
+            for result in (fleet.predict_plans([]),
+                           fleet.predict_caught([])):
+                assert isinstance(result, np.ndarray)
+                assert result.shape == (0,)
+                assert result.dtype == np.float64
+            assert fleet.stats() == stats
+            assert fleet.metrics.histogram(
+                "fleet.wait_seconds").count == waits
+
+    def test_failing_activation_rejects_only_its_group(
+        self, fleet_setup, monkeypatch
+    ):
+        """One wave holds two tenants' requests; the second tenant's
+        activation raises.  Only that group is rejected, the sibling
+        group is served, and the drain goes on serving."""
+        model, encoder, plans, tenants, reference = fleet_setup
+        blocker, good, bad = list(tenants)[:3]
+        with FleetGateway(model, encoder, shards=1,
+                          metrics=MetricsRegistry()) as fleet:
+            for tag in (blocker, good, bad):
+                fleet.register_tenant(tag, tenants[tag])
+            shard = fleet.shards[0]
+            activate = shard.registry.activate
+            entered, release = threading.Event(), threading.Event()
+
+            def patched(tag):
+                if tag == blocker:
+                    entered.set()
+                    assert release.wait(timeout=120)
+                if tag == bad:
+                    raise RuntimeError("injected activation failure")
+                return activate(tag)
+
+            monkeypatch.setattr(shard.registry, "activate", patched)
+            first = fleet.submit(plans[0], blocker)
+            assert entered.wait(timeout=120)
+            # The drain is parked inside the first wave: these two queue
+            # up behind it and are popped together as the next wave.
+            sibling = [fleet.submit(plans[i], good) for i in range(1, 4)]
+            doomed = [fleet.submit(plans[i], bad) for i in range(4, 7)]
+            release.set()
+            assert first.result(timeout=120) == reference[blocker][0]
+            for i, handle in enumerate(sibling, start=1):
+                assert handle.result(timeout=120) == reference[good][i]
+            for handle in doomed:
+                with pytest.raises(RuntimeError, match="injected"):
+                    handle.result(timeout=120)
+            monkeypatch.setattr(shard.registry, "activate", activate)
+            np.testing.assert_array_equal(
+                fleet.predict_plans(plans[4:12], bad), reference[bad][4:12]
+            )
+            assert shard._drain_thread.is_alive()
+            _assert_accounting(fleet)

@@ -69,6 +69,40 @@ class TestRegistry:
         with pytest.raises(KeyError):
             registry.register("external", {"bogus": np.zeros(2)})
 
+    @pytest.mark.parametrize("part", ["lora_a", "lora_b"])
+    def test_register_validates_shapes(self, registry, part):
+        """A wrong-shaped adapter is refused at register, naming the
+        parameter and both shapes, instead of failing every later
+        forward of the tag with a matmul core-dimension error."""
+        state = registry.adapter_state(ModelRegistry.BASE_TAG)
+        name = next(n for n in sorted(state) if n.endswith(part))
+        expected = state[name].shape
+        state[name] = np.zeros((expected[0] + 1,) + expected[1:])
+        with pytest.raises(ValueError) as error:
+            registry.register("bent", state)
+        message = str(error.value)
+        assert name in message
+        assert str(expected) in message
+        assert str(state[name].shape) in message
+        assert "bent" not in registry
+
+    def test_fleet_register_tenant_validates_shapes(self, fitted):
+        from repro.obs import MetricsRegistry
+        from repro.serve import FleetGateway
+
+        with FleetGateway(fitted.model, fitted.encoder, shards=2,
+                          metrics=MetricsRegistry()) as fleet:
+            state = fleet.shards[0].registry.adapter_state(
+                ModelRegistry.BASE_TAG
+            )
+            name = next(n for n in sorted(state) if n.endswith("lora_b"))
+            state[name] = state[name].T
+            with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+                fleet.register_tenant("bent", state)
+            assert not fleet.has_tenant("bent")
+            assert not any(shard.has_tenant("bent")
+                           for shard in fleet.shards)
+
     def test_register_roundtrip(self, registry, fitted, train_datasets):
         registry.fine_tune("m2", train_datasets[1], epochs=2)
         exported = registry.adapter_state("m2")

@@ -161,6 +161,11 @@ class TestCLI:
         assert "resilience:" in out
         assert "WARNING" not in out
 
+        # A shard has no worker pool: asking for one is refused.
+        with pytest.raises(SystemExit, match="exclusive"):
+            main(["serve", "--model", model_dir, "--workload", workload,
+                  "--shards", "2", "--workers", "2"])
+
     def test_serve_chaos_and_resilient(self, tmp_path, capsys):
         workload = str(tmp_path / "airline.jsonl")
         model_dir = str(tmp_path / "model")
