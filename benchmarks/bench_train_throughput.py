@@ -4,7 +4,9 @@ The contract pinned here: the pre-encoded training pipeline (one-time
 encoding, reused padded batches, fused graph-free step, in-place Adam)
 delivers at least 3x the epochs/second of a faithful replica of the
 seed training loop, while producing a bit-identical loss history and
-final ``state_dict`` from the same seed.
+final ``state_dict`` from the same seed.  A LoRA control fine-tunes the
+result through autograd and through the graph-free LoRA step; the two
+must agree bit for bit, and the record carries ``lora_speedup``.
 
 Besides the human-readable results table, the run writes a
 machine-readable record to ``BENCH_train_throughput.json`` at the repo
@@ -59,6 +61,11 @@ def test_train_throughput(benchmark, bench_scale, write_result):
         "identical_weights": result["identical_weights"],
         "bit_identical": result["bit_identical"],
         "min_speedup": MIN_SPEEDUP,
+        "lora_epochs": result["lora_epochs"],
+        "lora_graph_epochs_per_s": result["lora_graph_epochs_per_s"],
+        "lora_fused_epochs_per_s": result["lora_fused_epochs_per_s"],
+        "lora_speedup": result["lora_speedup"],
+        "lora_bit_identical": result["lora_bit_identical"],
     })
     assert result["table"]
     # The speedup must be free: same losses, same final weights, exactly.
@@ -66,3 +73,6 @@ def test_train_throughput(benchmark, bench_scale, write_result):
     assert result["identical_weights"]
     # Encode-once + fused step must clear 3x end to end.
     assert result["speedup"] >= MIN_SPEEDUP
+    # The graph-free LoRA step must reproduce autograd LoRA exactly:
+    # same loss history, same final adapters and frozen weights.
+    assert result["lora_bit_identical"]

@@ -13,6 +13,11 @@ The contract pinned here has two halves:
   a faithful replica of the seed loop run on an identically-initialized
   model.
 
+A LoRA control rides along: the pipelined model is LoRA-fine-tuned twice
+from the same weights, once through the autograd graph and once through
+the graph-free :class:`~repro.core.fused.FusedLoRAStep`; the record
+carries the speedup and the bit-identity of losses and final weights.
+
 The baseline replica below *is* the pre-change path: per-epoch size
 bucketing, per-plan ``encode_plan`` calls (the seed ``encode_batch``
 interior), per-epoch validation re-encoding, graph forward/backward,
@@ -205,6 +210,64 @@ def _losses(history: List[dict]) -> List[Tuple[float, float]]:
     return [(h["train_loss"], h["val_loss"]) for h in history]
 
 
+def _same_losses(a: List[dict], b: List[dict]) -> bool:
+    return len(a) == len(b) and all(
+        x[0] == y[0] and (x[1] == y[1] or (np.isnan(x[1]) and np.isnan(y[1])))
+        for x, y in zip(_losses(a), _losses(b))
+    )
+
+
+def _same_state(a: DACEModel, b: DACEModel) -> bool:
+    state_a, state_b = a.state_dict(), b.state_dict()
+    return set(state_a) == set(state_b) and all(
+        np.array_equal(state_a[name], state_b[name]) for name in state_a
+    )
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "NO"
+
+
+class _GraphLoRAModel(DACEModel):
+    """``DACEModel`` unchanged, but not the exact type the fused steps
+    accept, so LoRA fine-tuning runs the autograd graph: the control."""
+
+
+def lora_control(
+    pretrained: DACEModel,
+    encoder: PlanEncoder,
+    config: TrainingConfig,
+    train: PlanDataset,
+) -> dict:
+    """Autograd LoRA against graph-free LoRA from the same pre-trained
+    weights and seed: epochs/second of each and the bit-identity audit
+    of loss history and final weights (adapters included)."""
+    runs = {}
+    for name, cls in (("graph", _GraphLoRAModel), ("fused", DACEModel)):
+        model = cls(pretrained.config)
+        model.load_state_dict(pretrained.state_dict())
+        model.enable_lora()
+        trainer = Trainer(model, encoder, config)
+        start = time.perf_counter()
+        trainer.fit(train)
+        seconds = time.perf_counter() - start
+        runs[name] = (model, trainer.history, seconds)
+    graph, graph_history, graph_s = runs["graph"]
+    fused, fused_history, fused_s = runs["fused"]
+    graph_eps = len(graph_history) / graph_s
+    fused_eps = len(fused_history) / fused_s
+    return {
+        "lora_epochs": len(fused_history),
+        "lora_graph_seconds": graph_s,
+        "lora_fused_seconds": fused_s,
+        "lora_graph_epochs_per_s": graph_eps,
+        "lora_fused_epochs_per_s": fused_eps,
+        "lora_speedup": fused_eps / graph_eps,
+        "lora_bit_identical": (_same_losses(graph_history, fused_history)
+                               and _same_state(graph, fused)),
+    }
+
+
 @cell("train")
 def train_throughput(scale: BenchScale = DEFAULT) -> dict:
     """Epochs/second of both training paths, plus the bit-identity audit."""
@@ -236,30 +299,24 @@ def train_throughput(scale: BenchScale = DEFAULT) -> dict:
     pipe_eps = len(pipe_history) / pipe_seconds
     speedup = pipe_eps / base_eps
 
-    same_losses = (
-        len(base_history) == len(pipe_history)
-        and all(
-            a[0] == b[0] and (a[1] == b[1]
-                              or (np.isnan(a[1]) and np.isnan(b[1])))
-            for a, b in zip(_losses(base_history), _losses(pipe_history))
-        )
-    )
-    state_base = model_base.state_dict()
-    state_pipe = model_pipe.state_dict()
-    same_weights = set(state_base) == set(state_pipe) and all(
-        np.array_equal(state_base[name], state_pipe[name])
-        for name in state_base
-    )
+    same_losses = _same_losses(base_history, pipe_history)
+    same_weights = _same_state(model_base, model_pipe)
+    lora = lora_control(model_pipe, encoder_pipe, config, train)
 
     rows = [
         ["re-encode/epoch", epochs, base_seconds, base_eps, 1.0],
         ["pre-encoded", len(pipe_history), pipe_seconds, pipe_eps, speedup],
+        ["LoRA autograd", lora["lora_epochs"], lora["lora_graph_seconds"],
+         lora["lora_graph_epochs_per_s"], 1.0],
+        ["LoRA graph-free", lora["lora_epochs"], lora["lora_fused_seconds"],
+         lora["lora_fused_epochs_per_s"], lora["lora_speedup"]],
     ]
     table = format_table(
         ["pipeline", "epochs", "seconds", "epochs/s", "speedup"], rows,
         title=f"Training throughput ({len(train)} plans, "
               f"batch={config.batch_size}, "
-              f"bit-identical={'yes' if same_losses and same_weights else 'NO'})",
+              f"bit-identical={_yes(same_losses and same_weights)}, "
+              f"LoRA bit-identical={_yes(lora['lora_bit_identical'])})",
     )
     return {
         "table": table,
@@ -274,4 +331,5 @@ def train_throughput(scale: BenchScale = DEFAULT) -> dict:
         "identical_losses": same_losses,
         "identical_weights": same_weights,
         "bit_identical": same_losses and same_weights,
+        **lora,
     }

@@ -1,12 +1,22 @@
-"""Fused graph-free training step for DACE's q-error objective.
+"""Fused graph-free training steps for DACE's q-error objective.
 
 The autograd :class:`~repro.nn.tensor.Tensor` makes every model trainable,
 but the graph bookkeeping (node allocation, closure capture, topological
 sort, out-of-place gradient accumulation) is pure overhead once the
 architecture is fixed.  This module hand-rolls the forward *and* backward
 pass for the exact op sequence of ``DACEModel.forward`` +
-:func:`~repro.nn.losses.log_qerror_loss` — the pre-training hot path that
-every figure benchmark re-runs across 19-of-20 database splits.
+:func:`~repro.nn.losses.log_qerror_loss` in both training phases:
+
+- :class:`FusedQErrorStep` — pre-training (adapters disabled, every base
+  weight trains), the hot path every figure benchmark re-runs across
+  19-of-20 database splits;
+- :class:`FusedLoRAStep` — LoRA fine-tuning (paper eq. 8).  Attention and
+  every MLP base weight are frozen, so the attention output ``H`` and
+  layer 1's base pre-activation ``H @ W1 + b1`` are constants of the
+  batch: they are computed once per batch per fit, and each step runs
+  only the adapter terms, base layers 2-3 and the ReLUs.  The backward
+  pass stops at layer 1's adapter and sets weight gradients on the
+  ``lora_a``/``lora_b`` factors alone.
 
 The contract is the same one :meth:`repro.nn.module.Module.infer` pins for
 serving: **every numpy operation mirrors the autograd path operation for
@@ -14,20 +24,22 @@ operation, in the same order on the same shapes, so gradients and loss
 agree bit for bit.**  ``tests/core/test_fused_step.py`` enforces exact
 (``==``, not allclose) agreement against the graph path.
 
-Because the fused step is only a mirror, it refuses anything it does not
-replicate exactly: non-``DACEModel`` models (subclasses may override
-``forward``), the quantile objective, and LoRA fine-tuning all fall back
-to the graph path in :class:`~repro.core.trainer.Trainer`.
+Because the fused steps are only mirrors, they refuse anything they do
+not replicate exactly: non-``DACEModel`` models (subclasses may override
+``forward``), the quantile objective, and partially enabled adapters or
+unfrozen base weights under LoRA all fall back to the graph path in
+:class:`~repro.core.trainer.Trainer`.
 
 Per-batch constants (attention mask, its complement, the loss-weight
-normalizer) are cached per :class:`~repro.featurize.encoder.EncodedBatch`
-object: the encode-once pipeline reuses the same batch objects every
-epoch, so these are computed once per ``fit`` rather than once per step.
+normalizer, and under LoRA the frozen prefix) are cached per
+:class:`~repro.featurize.encoder.EncodedBatch` object: the encode-once
+pipeline reuses the same batch objects every epoch, so these are
+computed once per ``fit`` rather than once per step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,14 +48,141 @@ from repro.nn.attention import _NEG_INF
 from repro.nn.tensor import _unbroadcast
 
 
-def _adapters_disabled(model) -> bool:
-    return not (
-        model.mlp1.adapter_enabled
-        or model.mlp2.adapter_enabled
-        or model.mlp3.adapter_enabled
-    )
+def _head(model) -> tuple:
+    return (model.mlp1, model.mlp2, model.mlp3)
 
 
+def _loss_total(batch: EncodedBatch) -> float:
+    total = batch.loss_weights.sum()
+    if total <= 0:
+        raise ValueError("loss weights sum to zero")
+    return total
+
+
+class _PerBatch:
+    """Values derived from a batch, built once per step object.
+
+    Each entry holds the batch itself, so its ``id`` cannot be reused by
+    another batch while the entry lives.  The builder is passed per call,
+    not stored: a stored bound method would make a reference cycle that
+    keeps the step (and every cached array) alive past its ``fit`` until
+    the next garbage collection.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, Tuple[EncodedBatch, tuple]] = {}
+
+    def get(
+        self, batch: EncodedBatch, build: Callable[[EncodedBatch], tuple]
+    ) -> tuple:
+        entry = self._entries.get(id(batch))
+        if entry is None:
+            entry = (batch, build(batch))
+            self._entries[id(batch)] = entry
+        return entry[1]
+
+
+# ---------------------------------------------------------------------- #
+# The MLP head and the loss, shared by both steps
+# ---------------------------------------------------------------------- #
+def _head_forward(model, hidden: np.ndarray, pre1: np.ndarray, lora: bool):
+    """The 3-layer MLP head from layer 1's base pre-activation ``pre1``.
+
+    Returns the (B, n, 1) output and what the backward pass needs.  With
+    ``lora`` each layer adds ``((x @ lora_b) @ lora_a) * scaling`` to its
+    base output; IEEE addition commutes, so folding the base term into
+    the adapter array gives the autograd ``base + adapter`` bits.
+    ``pre1`` is never written to (the LoRA step caches it).
+    """
+    inputs: List[np.ndarray] = []
+    adapters: List[Optional[np.ndarray]] = []
+    masks: List[np.ndarray] = []
+    x = hidden
+    for index, layer in enumerate(_head(model)):
+        if index == 0:
+            z = pre1
+        else:
+            z = x @ layer.base.weight.data
+            z += layer.base.bias.data
+        t = None
+        if lora:
+            t = x @ layer.lora_b.data
+            delta = t @ layer.lora_a.data
+            delta *= layer.scaling
+            delta += z
+            z = delta
+        inputs.append(x)
+        adapters.append(t)
+        if index < 2:
+            # relu output is kept separate from z: the backward pass
+            # consumes it as the next layer's input.
+            mask = z > 0
+            masks.append(mask)
+            x = z * mask
+    return z, (inputs, adapters, masks)
+
+
+def _head_backward(model, g: np.ndarray, saved, lora: bool):
+    """The head's graph closures replayed in reverse.
+
+    Sets ``.grad`` on the base weights and biases, or with ``lora`` on
+    the adapter factors only, and returns the gradient of the head's
+    input ``hidden`` — ``None`` under LoRA, where nothing below the head
+    trains.  Under LoRA the inputs of layers 2 and 3 receive exactly two
+    contributions (base path and adapter path); IEEE addition commutes,
+    so accumulation order cannot differ from autograd.
+    """
+    inputs, adapters, masks = saved
+    layers = _head(model)
+    for index in (2, 1, 0):
+        layer = layers[index]
+        x = inputs[index]
+        if lora:
+            g_delta = g * layer.scaling
+            layer.lora_a.grad = _unbroadcast(
+                np.swapaxes(adapters[index], -1, -2) @ g_delta,
+                layer.lora_a.shape,
+            )
+            g_t = g_delta @ np.swapaxes(layer.lora_a.data, -1, -2)
+            layer.lora_b.grad = _unbroadcast(
+                np.swapaxes(x, -1, -2) @ g_t, layer.lora_b.shape
+            )
+            if index == 0:
+                return None
+        else:
+            base = layer.base
+            base.bias.grad = _unbroadcast(g, base.bias.shape)
+            base.weight.grad = _unbroadcast(
+                np.swapaxes(x, -1, -2) @ g, base.weight.shape
+            )
+        g_x = g @ np.swapaxes(layer.base.weight.data, -1, -2)
+        if lora:
+            g_x += g_t @ np.swapaxes(layer.lora_b.data, -1, -2)
+        if index == 0:
+            return g_x
+        g_x *= masks[index - 1]
+        g = g_x
+
+
+def _qerror_loss(out: np.ndarray, batch: EncodedBatch, total: float):
+    """``log_qerror_loss`` on the (B, n, 1) head output: the loss value
+    and its gradient with respect to ``out``."""
+    lw = batch.loss_weights
+    B, n = lw.shape
+    diff = out.reshape(B, n) - batch.labels_log
+    loss = (np.abs(diff) * lw).sum() * (1.0 / total)
+    g_out = np.sign(diff) * (lw * (1.0 / total))
+    return float(loss), g_out.reshape(B, n, 1)
+
+
+def _require_labels(batch: EncodedBatch) -> None:
+    if batch.labels_log is None:
+        raise ValueError("fused step needs labelled batches")
+
+
+# ---------------------------------------------------------------------- #
+# Pre-training
+# ---------------------------------------------------------------------- #
 class FusedQErrorStep:
     """One fused forward/backward for ``DACEModel`` + ``log_qerror_loss``.
 
@@ -56,9 +195,7 @@ class FusedQErrorStep:
 
     def __init__(self, model) -> None:
         self.model = model
-        # Keyed by id(batch): valid while the caller keeps the batch list
-        # alive (Trainer.fit holds every batch for the whole fit).
-        self._constants: Dict[int, Tuple[np.ndarray, np.ndarray, float]] = {}
+        self._constants = _PerBatch()
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -69,24 +206,19 @@ class FusedQErrorStep:
         return (
             type(model) is DACEModel
             and objective == "qerror"
-            and _adapters_disabled(model)
+            and not any(layer.adapter_enabled for layer in _head(model))
         )
 
     def _batch_constants(
         self, batch: EncodedBatch
     ) -> Tuple[np.ndarray, np.ndarray, float]:
-        cached = self._constants.get(id(batch))
-        if cached is None:
-            mask = np.asarray(
-                self.model._attention_mask(batch), dtype=bool
-            )
-            blocked = ~mask
-            total = batch.loss_weights.sum()
-            if total <= 0:
-                raise ValueError("loss weights sum to zero")
-            cached = (blocked, ~blocked, total)
-            self._constants[id(batch)] = cached
-        return cached
+        mask = np.asarray(self.model._attention_mask(batch), dtype=bool)
+        blocked = ~mask
+        return blocked, ~blocked, _loss_total(batch)
+
+    def predict(self, batch: EncodedBatch) -> np.ndarray:
+        """Graph-free prediction for evaluation: ``Module.infer``."""
+        return self.model.infer(batch)
 
     # ------------------------------------------------------------------ #
     def step(self, batch: EncodedBatch) -> float:
@@ -100,16 +232,14 @@ class FusedQErrorStep:
         the graph path.
         """
         model = self.model
-        if batch.labels_log is None:
-            raise ValueError("fused step needs labelled batches")
-        blocked, keep, total = self._batch_constants(batch)
+        _require_labels(batch)
+        blocked, keep, total = self._constants.get(
+            batch, self._batch_constants
+        )
 
         w_q, w_k, w_v = model.w_q.weight, model.w_k.weight, model.w_v.weight
-        lin1, lin2, lin3 = model.mlp1.base, model.mlp2.base, model.mlp3.base
+        lin1 = model.mlp1.base
         x = batch.features
-        lw = batch.loss_weights
-        target = batch.labels_log
-        B, n = lw.shape
         x_t = np.swapaxes(x, -1, -2)
 
         # ---- forward: mirrors DACEModel.forward + log_qerror_loss ---- #
@@ -128,49 +258,16 @@ class FusedQErrorStep:
         weights /= weights.sum(axis=-1, keepdims=True)
         hidden = weights @ v
 
-        # a_i and b_i = a_i + bias share an array; relu output is kept
-        # separate because the backward pass consumes r1/r2.
-        b1 = hidden @ lin1.weight.data
-        b1 += lin1.bias.data
-        mask1 = b1 > 0
-        r1 = b1 * mask1
-        b2 = r1 @ lin2.weight.data
-        b2 += lin2.bias.data
-        mask2 = b2 > 0
-        r2 = b2 * mask2
-        b3 = r2 @ lin3.weight.data
-        b3 += lin3.bias.data
-        out = b3.reshape(B, n)
-
-        diff = out - target
-        loss = (np.abs(diff) * lw).sum() * (1.0 / total)
+        pre1 = hidden @ lin1.weight.data
+        pre1 += lin1.bias.data
+        out, saved = _head_forward(model, hidden, pre1, lora=False)
+        loss, g_out = _qerror_loss(out, batch, total)
 
         # ---- backward: the graph closures replayed in reverse -------- #
         # Each intermediate receives exactly one gradient contribution
         # (the graph is a tree below the shared input x, which carries no
         # gradient), so accumulation order cannot differ from autograd.
-        g_out = np.sign(diff) * (lw * (1.0 / total))
-        g_b3 = g_out.reshape(B, n, 1)
-
-        lin3.bias.grad = _unbroadcast(g_b3, lin3.bias.shape)
-        lin3.weight.grad = _unbroadcast(
-            np.swapaxes(r2, -1, -2) @ g_b3, lin3.weight.shape
-        )
-        g_b2 = g_b3 @ np.swapaxes(lin3.weight.data, -1, -2)
-        g_b2 *= mask2
-
-        lin2.bias.grad = _unbroadcast(g_b2, lin2.bias.shape)
-        lin2.weight.grad = _unbroadcast(
-            np.swapaxes(r1, -1, -2) @ g_b2, lin2.weight.shape
-        )
-        g_b1 = g_b2 @ np.swapaxes(lin2.weight.data, -1, -2)
-        g_b1 *= mask1
-
-        lin1.bias.grad = _unbroadcast(g_b1, lin1.bias.shape)
-        lin1.weight.grad = _unbroadcast(
-            np.swapaxes(hidden, -1, -2) @ g_b1, lin1.weight.shape
-        )
-        g_hidden = g_b1 @ np.swapaxes(lin1.weight.data, -1, -2)
+        g_hidden = _head_backward(model, g_out, saved, lora=False)
 
         # attention: hidden = softmax(masked) @ v
         g_weights = g_hidden @ np.swapaxes(v, -1, -2)
@@ -190,11 +287,74 @@ class FusedQErrorStep:
         w_q.grad = _unbroadcast(x_t @ g_q, w_q.shape)
         w_k.grad = _unbroadcast(x_t @ g_k, w_k.shape)
         w_v.grad = _unbroadcast(x_t @ g_v, w_v.shape)
-        return float(loss)
+        return loss
 
 
-def maybe_fused_step(model, objective: str) -> Optional[FusedQErrorStep]:
-    """A :class:`FusedQErrorStep` when supported, else ``None``."""
-    if FusedQErrorStep.supports(model, objective):
-        return FusedQErrorStep(model)
+# ---------------------------------------------------------------------- #
+# LoRA fine-tuning
+# ---------------------------------------------------------------------- #
+class FusedLoRAStep:
+    """One fused forward/backward for LoRA fine-tuning of ``DACEModel``.
+
+    Same usage as :class:`FusedQErrorStep`; only the six adapter factors
+    receive ``.grad``, frozen parameters are never touched.
+    """
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self._prefix = _PerBatch()
+
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def supports(model, objective: str) -> bool:
+        """True for an exact ``DACEModel`` with all three adapters
+        enabled and training, and every other parameter frozen."""
+        from repro.core.model import DACEModel
+
+        if type(model) is not DACEModel or objective != "qerror":
+            return False
+        if not all(layer.adapter_enabled for layer in _head(model)):
+            return False
+        return all(
+            parameter.trainable == parameter.requires_grad == (
+                name.rsplit(".", 1)[-1] in ("lora_a", "lora_b")
+            )
+            for name, parameter in model.named_parameters()
+        )
+
+    def _batch_prefix(
+        self, batch: EncodedBatch
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The frozen prefix: attention output ``H`` (bit-identical to
+        the graph's, as ``Module.infer`` guarantees) and ``H @ W1 + b1``."""
+        hidden = self.model._hidden_infer(batch)
+        lin1 = self.model.mlp1.base
+        pre1 = hidden @ lin1.weight.data
+        pre1 += lin1.bias.data
+        return hidden, pre1, _loss_total(batch)
+
+    def predict(self, batch: EncodedBatch) -> np.ndarray:
+        """Graph-free prediction for evaluation, reusing the prefix."""
+        hidden, pre1, _ = self._prefix.get(batch, self._batch_prefix)
+        out, _ = _head_forward(self.model, hidden, pre1, lora=True)
+        return out.reshape(out.shape[0], out.shape[1])
+
+    def step(self, batch: EncodedBatch) -> float:
+        """Forward + backward; sets adapter ``.grad``, returns the loss."""
+        _require_labels(batch)
+        hidden, pre1, total = self._prefix.get(batch, self._batch_prefix)
+        out, saved = _head_forward(self.model, hidden, pre1, lora=True)
+        loss, g_out = _qerror_loss(out, batch, total)
+        _head_backward(self.model, g_out, saved, lora=True)
+        return loss
+
+
+FusedStep = Union[FusedQErrorStep, FusedLoRAStep]
+
+
+def maybe_fused_step(model, objective: str) -> Optional[FusedStep]:
+    """The fused step covering this configuration, else ``None``."""
+    for step in (FusedQErrorStep, FusedLoRAStep):
+        if step.supports(model, objective):
+            return step(model)
     return None

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.fused import maybe_fused_step
+from repro.core.fused import FusedStep, maybe_fused_step
 from repro.core.model import DACEModel
 from repro.featurize.catcher import CaughtPlan, catch_plan
 from repro.featurize.encoder import EncodedBatch, PlanEncoder
@@ -121,21 +121,23 @@ class Trainer:
         return EncodedDataset.encode(self.encoder, plans)
 
     def _epoch_loss(
-        self, batches: Sequence[EncodedBatch], graph_free: bool = False
+        self,
+        batches: Sequence[EncodedBatch],
+        fused: Optional[FusedStep] = None,
     ) -> float:
         """Mean per-plan loss over pre-encoded evaluation batches.
 
-        With ``graph_free`` (used when the fused training step is active,
-        i.e. the plain q-error objective) evaluation runs through
-        ``Module.infer`` and the numpy loss mirror — same values bit for
-        bit, no graph allocation.
+        With a ``fused`` training step active (the plain q-error
+        objective, pre-training or LoRA) evaluation runs through its
+        graph-free ``predict`` and the numpy loss mirror — same values
+        bit for bit, no graph allocation.
         """
         if not batches:
             return float("nan")
         total, count = 0.0, 0
-        if graph_free:
+        if fused is not None:
             for batch in batches:
-                pred = self.model.infer(batch)
+                pred = fused.predict(batch)
                 value = log_qerror_loss_np(
                     pred, batch.labels_log, batch.loss_weights
                 )
@@ -187,11 +189,11 @@ class Trainer:
         parameters = list(self.model.trainable_parameters())
         optimizer = Adam(parameters, lr=config.lr,
                          weight_decay=config.weight_decay)
-        # Graph-free fused step for the stock DACE + q-error
-        # configuration; anything else (quantile objective, LoRA
-        # fine-tuning, model subclasses) keeps the autograd path.  The
-        # fused mirror produces bit-identical losses and gradients, so
-        # the two paths are interchangeable mid-experiment.
+        # Graph-free fused step for stock DACE + q-error, in pre-training
+        # and in LoRA fine-tuning; anything else (quantile objective,
+        # model subclasses, partially enabled adapters) keeps the
+        # autograd path.  The fused mirrors produce bit-identical losses
+        # and gradients, so the paths are interchangeable mid-experiment.
         fused = maybe_fused_step(self.model, config.objective)
         scheduler = None
         if config.lr_schedule == "cosine":
@@ -237,9 +239,7 @@ class Trainer:
                 if scheduler is not None:
                     scheduler.step()
             epochs_run.inc()
-            val_loss = self._epoch_loss(
-                val_batches, graph_free=fused is not None
-            )
+            val_loss = self._epoch_loss(val_batches, fused)
             self.history.append({
                 "epoch": epoch,
                 "train_loss": epoch_loss / max(seen, 1),

@@ -4,9 +4,14 @@ These are integration tests of the harness, not accuracy assertions —
 shape checks happen at the benchmark scale (see EXPERIMENTS.md).
 """
 
+import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+
+import repro.bench.experiments as experiments
+from repro.core import TrainingConfig
 
 from repro.bench import (
     SMOKE,
@@ -169,6 +174,33 @@ class TestCaching:
         a = pretrain_dace(TINY, exclude="imdb")
         b = pretrain_dace(TINY, exclude="imdb", alpha=1.0)
         assert a is not b
+
+
+class TestTab2EpochCounting:
+    def test_early_stop_counts_epochs_run(self, monkeypatch):
+        """Tab II divides the epochs a run actually completed by its wall
+        time, not the configured epochs early stopping cut short."""
+        from repro.bench import get_workload3
+
+        # Every timed region spans exactly one fake second.
+        clock = itertools.count()
+        monkeypatch.setattr(experiments, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        w3 = get_workload3(TINY)
+        # A 1e-12 step never improves validation loss by the 1e-5 early-
+        # stopping margin: patience=1 stops both phases after their
+        # second epoch, far short of the 30 configured.
+        training = TrainingConfig(epochs=30, lr=1e-12, patience=1, seed=0)
+        rows = experiments.dace_efficiency(w3.train, w3.synthetic,
+                                           training, lora_epochs=30)
+        assert rows["DACE"]["train_qps"] == 2 * len(w3.train)
+        assert rows["DACE-LoRA"]["train_qps"] == 2 * len(w3.train)
+
+    def test_plan_epochs_by_phase(self):
+        history = [{"epoch": 0}, {"epoch": 1},
+                   {"epoch": 0, "phase": "fine_tune_lora"}]
+        assert experiments.plan_epochs(history, 10) == 20
+        assert experiments.plan_epochs(history, 10, "fine_tune_lora") == 10
 
 
 class TestExpMatrixCell:
