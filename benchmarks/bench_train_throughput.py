@@ -45,7 +45,7 @@ def test_train_throughput(benchmark, bench_scale, write_result):
         retry = train_throughput(scale)
         if retry["speedup"] > result["speedup"]:
             result = retry
-    write_result("train_throughput", result["table"])
+    write_result("train_throughput", result["table"], scale)
     ResultsStore.write_perf_record(_JSON_PATH, {
         "benchmark": "train_throughput",
         "scale": scale.name,

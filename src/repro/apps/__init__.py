@@ -14,17 +14,10 @@ estimator can be measured end to end.
 
 from repro.apps.plan_selection import PlanSelectionResult, PlanSelector
 from repro.apps.scheduling import ScheduleResult, WorkloadScheduler
-from repro.apps.online import OnlineResult, OnlineWorkloadSimulator
-from repro.apps.index_advisor import AdvisorResult, IndexAdvisor, IndexRecommendation
 
 __all__ = [
     "PlanSelector",
     "PlanSelectionResult",
     "WorkloadScheduler",
     "ScheduleResult",
-    "OnlineWorkloadSimulator",
-    "OnlineResult",
-    "IndexAdvisor",
-    "AdvisorResult",
-    "IndexRecommendation",
 ]

@@ -88,13 +88,11 @@ class _SeedAdam:
     arithmetic in place — bit-identical values, fewer allocations —
     which is exactly what the bit-identity audit below certifies.)"""
 
-    def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999),
-                 eps=1e-8, weight_decay=0.0):
+    def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.parameters = list(parameters)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
@@ -116,8 +114,6 @@ class _SeedAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * grad ** 2
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * parameter.data
             parameter.data = parameter.data - self.lr * update
 
 
@@ -144,8 +140,7 @@ def legacy_fit(
     else:
         val_plans, train_plans = [], list(plans)
     parameters = list(model.trainable_parameters())
-    optimizer = _SeedAdam(parameters, lr=config.lr,
-                          weight_decay=config.weight_decay)
+    optimizer = _SeedAdam(parameters, lr=config.lr)
 
     def encode(chunk):
         # The seed encode_batch interior: one encode_plan call per plan.

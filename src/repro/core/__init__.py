@@ -11,16 +11,7 @@
 from repro.core.model import DACEConfig, DACEModel
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.core.estimator import DACE
-from repro.core.alpha_search import AlphaSearchResult, search_alpha
 from repro.core.ensemble import DACEEnsemble
-from repro.core.tuning import TuningResult, grid_search, random_search
-from repro.core.drift_monitor import DriftMonitor, MonitorStatus
-from repro.core.data_selection import (
-    coverage_radius,
-    select_diverse,
-    select_random,
-    select_uncertain,
-)
 
 __all__ = [
     "DACEConfig",
@@ -28,16 +19,5 @@ __all__ = [
     "Trainer",
     "TrainingConfig",
     "DACE",
-    "search_alpha",
-    "AlphaSearchResult",
     "DACEEnsemble",
-    "grid_search",
-    "random_search",
-    "TuningResult",
-    "select_random",
-    "select_diverse",
-    "select_uncertain",
-    "coverage_radius",
-    "DriftMonitor",
-    "MonitorStatus",
 ]

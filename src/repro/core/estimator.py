@@ -31,6 +31,34 @@ from repro.serve.resilience import CostFallback, ResilientEstimator
 from repro.serve.service import EstimatorService
 from repro.workloads.dataset import PlanDataset
 
+# Training options that no longer exist (the quantile objective, learning
+# rate schedules, gradient clipping, weight decay), with the value every
+# model trained without them saved.
+_RETIRED_TRAINING = {
+    "objective": "qerror",
+    "quantile_tau": 0.5,
+    "lr_schedule": "constant",
+    "grad_clip": 0.0,
+    "weight_decay": 0.0,
+}
+
+
+def _saved_training(saved: dict) -> TrainingConfig:
+    """A saved ``meta.json`` training block as a :class:`TrainingConfig`.
+
+    A retired option at its old default is dropped; any other value
+    means the model was trained for something else (a quantile model is
+    not a q-error DACE), so loading refuses it.
+    """
+    fields = dict(saved)
+    for key, default in _RETIRED_TRAINING.items():
+        if key in fields and fields.pop(key) != default:
+            raise ValueError(
+                f"saved model was trained with retired option "
+                f"{key}={saved[key]!r}; only {key}={default!r} loads"
+            )
+    return TrainingConfig(**fields)
+
 
 class DACE:
     """Database-agnostic cost estimator (pre-trained estimator + encoder).
@@ -277,7 +305,7 @@ class DACE:
         # from it, and a different batch size changes inference chunking
         # (and therefore bit-level numerics) between save and load.
         training = (
-            TrainingConfig(**meta["training"]) if "training" in meta else None
+            _saved_training(meta["training"]) if "training" in meta else None
         )
         dace = cls(
             config=config,

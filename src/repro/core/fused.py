@@ -26,8 +26,8 @@ agree bit for bit.**  ``tests/core/test_fused_step.py`` enforces exact
 
 Because the fused steps are only mirrors, they refuse anything they do
 not replicate exactly: non-``DACEModel`` models (subclasses may override
-``forward``), the quantile objective, and partially enabled adapters or
-unfrozen base weights under LoRA all fall back to the graph path in
+``forward``), and partially enabled adapters or unfrozen base weights
+under LoRA all fall back to the graph path in
 :class:`~repro.core.trainer.Trainer`.
 
 Per-batch constants (attention mask, its complement, the loss-weight
@@ -199,13 +199,12 @@ class FusedQErrorStep:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def supports(model, objective: str) -> bool:
+    def supports(model) -> bool:
         """True when the fused mirror covers this exact configuration."""
         from repro.core.model import DACEModel
 
         return (
             type(model) is DACEModel
-            and objective == "qerror"
             and not any(layer.adapter_enabled for layer in _head(model))
         )
 
@@ -306,12 +305,12 @@ class FusedLoRAStep:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def supports(model, objective: str) -> bool:
+    def supports(model) -> bool:
         """True for an exact ``DACEModel`` with all three adapters
         enabled and training, and every other parameter frozen."""
         from repro.core.model import DACEModel
 
-        if type(model) is not DACEModel or objective != "qerror":
+        if type(model) is not DACEModel:
             return False
         if not all(layer.adapter_enabled for layer in _head(model)):
             return False
@@ -352,9 +351,9 @@ class FusedLoRAStep:
 FusedStep = Union[FusedQErrorStep, FusedLoRAStep]
 
 
-def maybe_fused_step(model, objective: str) -> Optional[FusedStep]:
+def maybe_fused_step(model) -> Optional[FusedStep]:
     """The fused step covering this configuration, else ``None``."""
     for step in (FusedQErrorStep, FusedLoRAStep):
-        if step.supports(model, objective):
+        if step.supports(model):
             return step(model)
     return None

@@ -25,8 +25,8 @@ from repro.core.fused import FusedStep, maybe_fused_step
 from repro.core.model import DACEModel
 from repro.featurize.catcher import CaughtPlan, catch_plan
 from repro.featurize.encoder import EncodedBatch, PlanEncoder
-from repro.nn import Adam, CosineLR, StepLR, clip_grad_norm, no_grad
-from repro.nn.losses import log_qerror_loss, log_qerror_loss_np, pinball_loss
+from repro.nn import Adam, no_grad
+from repro.nn.losses import log_qerror_loss, log_qerror_loss_np
 from repro.obs import MetricsRegistry
 from repro.workloads.dataset import PlanDataset
 from repro.workloads.encoded import EncodedDataset, EncodingCache
@@ -39,16 +39,8 @@ class TrainingConfig:
     epochs: int = 40
     batch_size: int = 64
     lr: float = 1e-3
-    weight_decay: float = 0.0
     patience: int = 8           # early stopping on validation loss
     validation_fraction: float = 0.1
-    lr_schedule: str = "constant"   # "constant" | "cosine" | "step"
-    grad_clip: float = 0.0          # 0 disables gradient clipping
-    # "qerror" minimizes mean |Δlog| (eq. 7); "quantile" minimizes the
-    # pinball loss at `quantile_tau`, yielding latency quantile estimates
-    # (tau=0.95 -> calibrated upper bounds for admission control).
-    objective: str = "qerror"
-    quantile_tau: float = 0.5
     seed: int = 0
     verbose: bool = False
     # Persist encoded datasets to the on-disk cache so repeat runs (the
@@ -57,14 +49,6 @@ class TrainingConfig:
     # and the dataset content, so a hit is always byte-exact.
     encode_cache: bool = False
     encode_cache_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.lr_schedule not in ("constant", "cosine", "step"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.objective not in ("qerror", "quantile"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if not 0.0 < self.quantile_tau < 1.0:
-            raise ValueError("quantile_tau must be in (0, 1)")
 
 
 def catch_dataset(dataset: PlanDataset) -> List[CaughtPlan]:
@@ -88,13 +72,6 @@ class Trainer:
         self.config = config if config is not None else TrainingConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.history: List[dict] = []
-
-    def _loss(self, pred, labels_log, weights):
-        if self.config.objective == "quantile":
-            return pinball_loss(
-                pred, labels_log, self.config.quantile_tau, weights
-            )
-        return log_qerror_loss(pred, labels_log, weights)
 
     # ------------------------------------------------------------------ #
     def _batches(
@@ -127,8 +104,8 @@ class Trainer:
     ) -> float:
         """Mean per-plan loss over pre-encoded evaluation batches.
 
-        With a ``fused`` training step active (the plain q-error
-        objective, pre-training or LoRA) evaluation runs through its
+        With a ``fused`` training step active (stock ``DACEModel``,
+        pre-training or LoRA) evaluation runs through its
         graph-free ``predict`` and the numpy loss mirror — same values
         bit for bit, no graph allocation.
         """
@@ -147,7 +124,7 @@ class Trainer:
         with no_grad():
             for batch in batches:
                 pred = self.model(batch)
-                loss = self._loss(
+                loss = log_qerror_loss(
                     pred, batch.labels_log, batch.loss_weights
                 )
                 total += loss.item() * batch.batch_size
@@ -186,21 +163,13 @@ class Trainer:
                 if val_plans else []
             )
 
-        parameters = list(self.model.trainable_parameters())
-        optimizer = Adam(parameters, lr=config.lr,
-                         weight_decay=config.weight_decay)
-        # Graph-free fused step for stock DACE + q-error, in pre-training
-        # and in LoRA fine-tuning; anything else (quantile objective,
-        # model subclasses, partially enabled adapters) keeps the
-        # autograd path.  The fused mirrors produce bit-identical losses
-        # and gradients, so the paths are interchangeable mid-experiment.
-        fused = maybe_fused_step(self.model, config.objective)
-        scheduler = None
-        if config.lr_schedule == "cosine":
-            scheduler = CosineLR(optimizer, total_epochs=config.epochs)
-        elif config.lr_schedule == "step":
-            scheduler = StepLR(optimizer,
-                               step_size=max(config.epochs // 4, 1))
+        optimizer = Adam(self.model.trainable_parameters(), lr=config.lr)
+        # Graph-free fused step for stock DACE, in pre-training and in
+        # LoRA fine-tuning; anything else (model subclasses, partially
+        # enabled adapters) keeps the autograd path.  The fused mirrors
+        # produce bit-identical losses and gradients, so the paths are
+        # interchangeable mid-experiment.
+        fused = maybe_fused_step(self.model)
 
         best_val = float("inf")
         best_state = None
@@ -226,18 +195,14 @@ class Trainer:
                         loss_value = fused.step(batch)
                     else:
                         pred = self.model(batch)
-                        loss = self._loss(
+                        loss = log_qerror_loss(
                             pred, batch.labels_log, batch.loss_weights
                         )
                         loss.backward()
                         loss_value = loss.item()
-                    if config.grad_clip > 0:
-                        clip_grad_norm(parameters, config.grad_clip)
                     optimizer.step()
                     epoch_loss += loss_value * batch.batch_size
                     seen += batch.batch_size
-                if scheduler is not None:
-                    scheduler.step()
             epochs_run.inc()
             val_loss = self._epoch_loss(val_batches, fused)
             self.history.append({

@@ -14,7 +14,6 @@ Provides everything DACE consumes from a real DBMS:
 """
 
 from repro.engine.plan import NODE_TYPES, PlanNode, explain
-from repro.engine.explain_json import explain_json, plan_to_json_dict
 from repro.engine.diagnostics import (
     NodeDiagnostic,
     diagnose_plan,
@@ -33,8 +32,6 @@ __all__ = [
     "NODE_TYPES",
     "PlanNode",
     "explain",
-    "explain_json",
-    "plan_to_json_dict",
     "NodeDiagnostic",
     "diagnose_plan",
     "worst_nodes",

@@ -52,24 +52,17 @@ class Planner:
         schema: Schema,
         estimator: CardinalityEstimator,
         cost_model: Optional[CostModel] = None,
-        extra_indexes: Optional[Dict[str, Sequence[str]]] = None,
     ) -> None:
-        """``extra_indexes`` maps table -> additional indexed columns;
-        used for what-if planning by the index advisor."""
         self.schema = schema
         self.estimator = estimator
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.extra_indexes: Dict[str, set] = {
-            table: set(columns)
-            for table, columns in (extra_indexes or {}).items()
-        }
 
     # ------------------------------------------------------------------ #
     # Index inventory
     # ------------------------------------------------------------------ #
     def indexed_columns(self, table: str) -> List[str]:
-        """Indexes: every pk/fk column, the first attribute column (a
-        fixed documented rule), plus any what-if extras."""
+        """Indexes: every pk/fk column and the first attribute column (a
+        fixed documented rule)."""
         schema_table = self.schema.table(table)
         indexed = []
         first_attribute: Optional[str] = None
@@ -80,10 +73,6 @@ class Planner:
                 first_attribute = column.name
         if first_attribute is not None:
             indexed.append(first_attribute)
-        for extra in sorted(self.extra_indexes.get(table, ())):
-            if extra not in indexed:
-                schema_table.column(extra)  # validate existence
-                indexed.append(extra)
         return indexed
 
     # ------------------------------------------------------------------ #

@@ -2,36 +2,19 @@
 
 This package substitutes for PyTorch in the DACE reproduction.  It provides
 exactly the pieces the paper's models need: a :class:`~repro.nn.tensor.Tensor`
-with reverse-mode autodiff and broadcasting, standard layers, masked
-attention, Adam/SGD optimizers, LoRA adapters, weighted q-error losses, and
-``.npz`` state-dict serialization.
+with reverse-mode autodiff and broadcasting, linear/ReLU/LayerNorm layers,
+masked attention, Adam/SGD optimizers, LoRA adapters and the weighted
+q-error loss.
 """
 
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import (
-    Dropout,
-    Embedding,
-    LayerNorm,
-    Linear,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import LayerNorm, Linear, ReLU, Sequential
 from repro.nn.attention import masked_self_attention, masked_self_attention_infer
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedulers import CosineLR, LRScheduler, StepLR, clip_grad_norm
-from repro.nn.losses import (
-    huber_loss,
-    log_qerror_loss,
-    mse_loss,
-    pinball_loss,
-    qerror,
-)
+from repro.nn.losses import log_qerror_loss, qerror
 from repro.nn.lora import LoRALinear
-from repro.nn.init import kaiming_uniform, xavier_uniform
-from repro.nn.serialize import load_state_dict, save_state_dict
+from repro.nn.init import kaiming_uniform
 
 __all__ = [
     "Tensor",
@@ -41,28 +24,14 @@ __all__ = [
     "Linear",
     "Sequential",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Dropout",
     "LayerNorm",
-    "Embedding",
     "masked_self_attention",
     "masked_self_attention_infer",
     "Optimizer",
     "SGD",
     "Adam",
-    "LRScheduler",
-    "StepLR",
-    "CosineLR",
-    "clip_grad_norm",
     "qerror",
     "log_qerror_loss",
-    "pinball_loss",
-    "mse_loss",
-    "huber_loss",
     "LoRALinear",
-    "xavier_uniform",
     "kaiming_uniform",
-    "save_state_dict",
-    "load_state_dict",
 ]

@@ -50,43 +50,6 @@ class ReLU(Module):
         return x * (x > 0)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when the module is in eval mode."""
-
-    def __init__(self, p: float = 0.1, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * Tensor(mask)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-
 class LayerNorm(Module):
     """Layer normalization over the last axis."""
 
@@ -112,38 +75,6 @@ class LayerNorm(Module):
         variance = (centered * centered).sum(axis=-1, keepdims=True) * scale
         normalized = centered * (variance + self.eps) ** -0.5
         return normalized * self.gamma.data + self.beta.data
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(rng.normal(0.0, 0.02, (num_embeddings, embedding_dim)))
-
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.min() < 0 or ids.max() >= self.num_embeddings:
-            raise IndexError(
-                f"embedding index out of range [0, {self.num_embeddings})"
-            )
-        return self.weight[ids]
-
-    def infer(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.min() < 0 or ids.max() >= self.num_embeddings:
-            raise IndexError(
-                f"embedding index out of range [0, {self.num_embeddings})"
-            )
-        return self.weight.data[ids]
 
 
 class Sequential(Module):

@@ -9,13 +9,11 @@ transform of eq. 1 and therefore optimizes the same objective.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
-
-ArrayOrTensor = Union[np.ndarray, Tensor]
 
 
 def qerror(est: np.ndarray, actual: np.ndarray, floor: float = 1e-9) -> np.ndarray:
@@ -75,44 +73,3 @@ def log_qerror_loss_np(
     if total <= 0:
         raise ValueError("loss weights sum to zero")
     return float((diff * weights).sum() * (1.0 / total))
-
-
-def pinball_loss(
-    pred_log: Tensor,
-    target_log: np.ndarray,
-    tau: float,
-    weights: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Quantile (pinball) loss in log space.
-
-    Minimizing it makes ``pred_log`` estimate the ``tau``-quantile of the
-    conditional log-latency: ``tau = 0.5`` recovers the median (the
-    standard objective), ``tau = 0.95`` yields a calibrated latency *upper
-    bound* — the quantity SLA admission control actually needs.
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    target = Tensor(target_log)
-    diff = target - pred_log  # positive when the model underestimates
-    loss = Tensor.maximum(diff * tau, diff * (tau - 1.0))
-    if weights is None:
-        return loss.mean()
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("loss weights sum to zero")
-    return (loss * Tensor(weights)).sum() * (1.0 / total)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = pred - Tensor(target)
-    return (diff * diff).mean()
-
-
-def huber_loss(pred: Tensor, target: np.ndarray, delta: float = 1.0) -> Tensor:
-    """Smooth L1: quadratic near zero, linear in the tails."""
-    diff = pred - Tensor(target)
-    abs_diff = diff.abs()
-    quadratic = diff * diff * 0.5
-    linear = abs_diff * delta - 0.5 * delta * delta
-    return Tensor.where(abs_diff.data <= delta, quadratic, linear).mean()

@@ -8,8 +8,8 @@ shape ("unbroadcast").
 
 Only the operations the DACE reproduction needs are implemented, but they are
 implemented completely: elementwise arithmetic, matmul (including batched),
-reductions, shape ops, indexing, exp/log/sqrt/abs, activation functions,
-softmax, and where/maximum/minimum.
+reductions, shape ops, indexing, exp/log/sqrt/abs, activation functions
+and softmax.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -437,46 +433,9 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-    def clip_min(self, minimum: float) -> "Tensor":
-        mask = self.data >= minimum
-        data = np.maximum(self.data, minimum)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return self._make(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Combinators
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
-        a = Tensor._lift(a)
-        b = Tensor._lift(b)
-        condition = np.asarray(condition, dtype=bool)
-        data = np.where(condition, a.data, b.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * condition, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * ~condition, b.shape))
-
-        return a._make(data, (a, b), backward)
-
-    @staticmethod
-    def maximum(a: "Tensor", b: "Tensor") -> "Tensor":
-        a = Tensor._lift(a)
-        b = Tensor._lift(b)
-        return Tensor.where(a.data >= b.data, a, b)
-
-    @staticmethod
-    def minimum(a: "Tensor", b: "Tensor") -> "Tensor":
-        a = Tensor._lift(a)
-        b = Tensor._lift(b)
-        return Tensor.where(a.data <= b.data, a, b)
-
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._lift(t) for t in tensors]

@@ -1,10 +1,9 @@
 """Micro-batching facade: coalesce single-plan calls into batched inference.
 
-Callers that price plans one at a time (plan steering loops, what-if
-advisors, per-query admission control) leave batch efficiency on the
-table.  :class:`MicroBatcher` restores it without restructuring the
-caller: ``submit`` enqueues a plan and returns a
-:class:`PendingPrediction`; nothing runs until the batch fills
+Callers that price plans one at a time (plan steering loops, say)
+leave batch efficiency on the table.  :class:`MicroBatcher` restores it
+without restructuring the caller: ``submit`` enqueues a plan and returns
+a :class:`PendingPrediction`; nothing runs until the batch fills
 (``max_batch``), the oldest queued plan exceeds ``flush_deadline_s``,
 ``flush`` is called, or a pending result is read — at which point *all*
 queued plans go through one batched ``predict_plans`` call.

@@ -207,6 +207,53 @@ class TestPersistence:
         assert loaded.training == fitted_dace.training
         assert loaded.service.batch_size == fitted_dace.service.batch_size
 
+    @staticmethod
+    def _write_older_meta(path, **retired):
+        """Rewrite ``meta.json``'s training block as models saved before
+        the quantile objective, LR schedules, gradient clipping and
+        weight decay were retired wrote it: all fourteen keys."""
+        import json
+        import os
+
+        meta_path = os.path.join(path, "meta.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta["training"] = {
+            "epochs": 12, "batch_size": 32, "lr": 0.002,
+            "weight_decay": 0.0, "patience": 6,
+            "validation_fraction": 0.1, "lr_schedule": "constant",
+            "grad_clip": 0.0, "objective": "qerror",
+            "quantile_tau": 0.5, "seed": 0, "verbose": False,
+            "encode_cache": False, "encode_cache_dir": None,
+            **retired,
+        }
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle, indent=2)
+
+    def test_older_meta_with_retired_defaults_loads(self, fitted_dace,
+                                                    test_dataset, tmp_path):
+        path = str(tmp_path / "older")
+        fitted_dace.save(path)
+        self._write_older_meta(path)
+        loaded = DACE.load(path)
+        assert loaded.training == fitted_dace.training
+        np.testing.assert_array_equal(
+            fitted_dace.predict(test_dataset), loaded.predict(test_dataset)
+        )
+
+    @pytest.mark.parametrize("key,value", [
+        ("objective", "quantile"), ("quantile_tau", 0.9),
+        ("lr_schedule", "cosine"), ("grad_clip", 1.0),
+        ("weight_decay", 1e-4),
+    ])
+    def test_older_meta_with_retired_setting_refused(self, fitted_dace,
+                                                     tmp_path, key, value):
+        path = str(tmp_path / "older")
+        fitted_dace.save(path)
+        self._write_older_meta(path, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            DACE.load(path)
+
 
 class TestHistoryAndDefaults:
     def test_fine_tune_history_preserved(self, train_datasets,

@@ -75,14 +75,8 @@ def test_fused_matches_graph_exactly(batches, use_tree_attention):
 
 def test_supports_stock_configuration():
     model = DACEModel(rng=np.random.default_rng(0))
-    assert FusedQErrorStep.supports(model, "qerror")
-    assert maybe_fused_step(model, "qerror") is not None
-
-
-def test_refuses_quantile_objective():
-    model = DACEModel(rng=np.random.default_rng(0))
-    assert not FusedQErrorStep.supports(model, "quantile")
-    assert maybe_fused_step(model, "quantile") is None
+    assert FusedQErrorStep.supports(model)
+    assert maybe_fused_step(model) is not None
 
 
 def _lora_model(**config) -> DACEModel:
@@ -130,36 +124,33 @@ def _frozen_adapter_model() -> DACEModel:
 def test_refuses_lora_fine_tuning():
     """Every LoRA configuration the fused mirror does not replicate
     falls back to autograd."""
-    assert not FusedQErrorStep.supports(_lora_model(), "qerror")
+    assert not FusedQErrorStep.supports(_lora_model())
     cases = {
-        "quantile": (_lora_model(), "quantile"),
-        "subclass": (_subclass_lora_model(), "qerror"),
-        "partial adapters": (_partial_adapter_model(), "qerror"),
-        "unfrozen base": (_unfrozen_base_model(), "qerror"),
-        "unfrozen attention": (_unfrozen_attention_model(), "qerror"),
-        "frozen adapter factor": (_frozen_adapter_model(), "qerror"),
+        "subclass": _subclass_lora_model(),
+        "partial adapters": _partial_adapter_model(),
+        "unfrozen base": _unfrozen_base_model(),
+        "unfrozen attention": _unfrozen_attention_model(),
+        "frozen adapter factor": _frozen_adapter_model(),
     }
-    for case, (model, objective) in cases.items():
-        assert not FusedLoRAStep.supports(model, objective), case
-        assert maybe_fused_step(model, objective) is None, case
+    for case, model in cases.items():
+        assert not FusedLoRAStep.supports(model), case
+        assert maybe_fused_step(model) is None, case
 
 
 def test_supports_lora_fine_tuning():
     model = _lora_model()
-    assert FusedLoRAStep.supports(model, "qerror")
-    assert isinstance(maybe_fused_step(model, "qerror"), FusedLoRAStep)
+    assert FusedLoRAStep.supports(model)
+    assert isinstance(maybe_fused_step(model), FusedLoRAStep)
     model.disable_lora()
-    assert not FusedLoRAStep.supports(model, "qerror")
-    assert isinstance(maybe_fused_step(model, "qerror"), FusedQErrorStep)
+    assert not FusedLoRAStep.supports(model)
+    assert isinstance(maybe_fused_step(model), FusedQErrorStep)
 
 
 def test_refuses_model_subclasses():
     class Custom(DACEModel):
         pass
 
-    assert not FusedQErrorStep.supports(
-        Custom(rng=np.random.default_rng(0)), "qerror"
-    )
+    assert not FusedQErrorStep.supports(Custom(rng=np.random.default_rng(0)))
 
 
 def test_rejects_unlabelled_batches(batches):
@@ -281,8 +272,8 @@ def test_fine_tune_lora_matches_autograd(train_datasets, test_dataset_m2,
                                          monkeypatch):
     steps = []
 
-    def recording(model, objective):
-        step = maybe_fused_step(model, objective)
+    def recording(model):
+        step = maybe_fused_step(model)
         steps.append(step)
         return step
 
@@ -292,7 +283,7 @@ def test_fine_tune_lora_matches_autograd(train_datasets, test_dataset_m2,
     fused.fine_tune_lora(test_dataset_m2, epochs=6, lr=3e-3)
     assert [type(step) for step in steps] == [FusedLoRAStep]
     monkeypatch.setattr(trainer_module, "maybe_fused_step",
-                        lambda model, objective: None)
+                        lambda model: None)
     graph.fine_tune_lora(test_dataset_m2, epochs=6, lr=3e-3)
 
     assert len(_losses(fused)) == 6

@@ -11,6 +11,7 @@ loop (per-epoch re-encoding, autograd graph, out-of-place Adam).
 import numpy as np
 import pytest
 
+from repro.core.fused import maybe_fused_step
 from repro.core.model import DACEModel
 from repro.core.trainer import Trainer, TrainingConfig, catch_dataset
 from repro.featurize import PlanEncoder
@@ -164,15 +165,19 @@ def test_disk_cache_does_not_change_a_bit(train_datasets, config, tmp_path):
     _assert_same_run(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
 
 
-def test_quantile_objective_still_trains(train_datasets, config):
-    """The quantile objective falls back to the autograd path; make sure
+def test_autograd_fallback_still_trains(train_datasets, config):
+    """A ``DACEModel`` subclass falls back to the autograd path; make sure
     the fallback branch actually runs end to end."""
-    model = DACEModel(rng=np.random.default_rng(0))
-    quantile_config = TrainingConfig(
+    class Custom(DACEModel):
+        pass
+
+    model = Custom(rng=np.random.default_rng(0))
+    assert maybe_fused_step(model) is None
+    fallback_config = TrainingConfig(
         epochs=2, batch_size=32, validation_fraction=0.2, patience=5,
-        seed=0, objective="quantile", quantile_tau=0.9,
+        seed=0,
     )
-    trainer = Trainer(model, PlanEncoder(), quantile_config)
+    trainer = Trainer(model, PlanEncoder(), fallback_config)
     trainer.fit(train_datasets[0])
     assert len(trainer.history) == 2
     assert all(np.isfinite(h["train_loss"]) for h in trainer.history)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, huber_loss, log_qerror_loss, mse_loss, qerror
+from repro.nn import Tensor, log_qerror_loss, qerror
 
 positive_floats = st.floats(
     min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -86,25 +86,3 @@ class TestLogQErrorLoss:
         loss.backward()
         assert pred.grad[0] > 0
 
-
-class TestOtherLosses:
-    def test_mse_zero(self):
-        pred = Tensor(np.ones(4))
-        assert mse_loss(pred, np.ones(4)).item() == pytest.approx(0.0)
-
-    def test_mse_known(self):
-        pred = Tensor(np.array([1.0, 3.0]))
-        assert mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(5.0)
-
-    def test_huber_quadratic_region(self):
-        pred = Tensor(np.array([0.5]))
-        assert huber_loss(pred, np.array([0.0])).item() == pytest.approx(0.125)
-
-    def test_huber_linear_region(self):
-        pred = Tensor(np.array([3.0]))
-        assert huber_loss(pred, np.array([0.0])).item() == pytest.approx(2.5)
-
-    def test_huber_grad_bounded(self):
-        pred = Tensor(np.array([100.0]), requires_grad=True)
-        huber_loss(pred, np.array([0.0])).backward()
-        assert abs(pred.grad[0]) <= 1.0 + 1e-9

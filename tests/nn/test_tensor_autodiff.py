@@ -89,10 +89,6 @@ class TestElementwiseGrads:
     def test_sigmoid(self):
         check_grad(lambda t: t.sigmoid().sum(), RNG.normal(size=(5,)))
 
-    def test_clip_min(self):
-        x = np.array([-2.0, -0.5, 0.5, 2.0])
-        check_grad(lambda t: t.clip_min(0.0).sum(), x)
-
 
 class TestMatmulGrads:
     def test_matmul_2d(self):
@@ -172,18 +168,6 @@ class TestCombinators:
     def test_masked_fill(self):
         mask = np.array([[True, False], [False, True]])
         check_grad(lambda t: t.masked_fill(mask, -9.0).sum(), RNG.normal(size=(2, 2)))
-
-    def test_where(self):
-        cond = np.array([True, False, True])
-        a = RNG.normal(size=(3,))
-        check_grad(
-            lambda t: Tensor.where(cond, t, t * 2.0).sum(), a
-        )
-
-    def test_maximum(self):
-        a = np.array([1.0, 5.0, 2.0])
-        b = Tensor(np.array([3.0, 1.0, 2.5]))
-        check_grad(lambda t: Tensor.maximum(t, b).sum(), a)
 
     def test_concat(self):
         b = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)

@@ -32,7 +32,6 @@ class TestExamples:
             "explain_correction",
             "plan_steering",
             "uncertainty_fallback",
-            "admission_control",
         } <= names
 
     @pytest.mark.parametrize(
