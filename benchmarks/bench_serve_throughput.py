@@ -1,4 +1,4 @@
-"""Serving runtime — per-plan vs micro-batched vs batched vs cached,
+"""Serving runtime — per-plan vs chunked vs batched vs cached,
 plus the fused-forward acceptance gate.
 
 Contracts pinned here:
@@ -37,7 +37,7 @@ def test_serve_throughput(benchmark, bench_scale, write_result):
         "scale": bench_scale.name,
         "n_plans": result["n_plans"],
         "results": result["results"],
-        "micro_speedup": result["micro_speedup"],
+        "chunked_speedup": result["chunked_speedup"],
         "batched_speedup": result["batched_speedup"],
         "cached_speedup": result["cached_speedup"],
         "cache_hit_rate": result["cache_hit_rate"],

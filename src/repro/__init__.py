@@ -13,7 +13,7 @@ from repro.core.estimator import DACE
 from repro.core.trainer import TrainingConfig
 from repro.metrics.qerror import qerror_summary
 from repro.obs import MetricsRegistry
-from repro.serve import EstimatorService, MicroBatcher, ModelRegistry
+from repro.serve import EstimatorService, ModelRegistry
 from repro.workloads.zeroshot import workload1, workload2
 from repro.workloads.mscn import build_workload3
 
@@ -28,7 +28,6 @@ __all__ = [
     "build_workload3",
     "EstimatorService",
     "MetricsRegistry",
-    "MicroBatcher",
     "ModelRegistry",
     "__version__",
 ]

@@ -1,8 +1,8 @@
 """Chaos smoke: the resilience tier under injected faults, end to end.
 
-Replays a tiled workload through ``ChaosEstimator`` →
-``ResilientEstimator`` → ``MicroBatcher`` and checks the serving
-contract the resilience layer promises:
+Replays a tiled workload one plan at a time through ``ChaosEstimator``
+→ ``ResilientEstimator`` and checks the serving contract the resilience
+layer promises:
 
 - **zero unhandled exceptions** reach the caller at any fault rate;
 - **every prediction is finite**;
@@ -24,21 +24,16 @@ from repro.bench.config import DEFAULT, BenchScale
 from repro.experiments.registry import cell
 from repro.metrics.tables import format_table
 from repro.obs import MetricsRegistry
-from repro.serve import (
-    ChaosEstimator,
-    CostFallback,
-    MicroBatcher,
-    ResilientEstimator,
-)
+from repro.serve import ChaosEstimator, CostFallback, ResilientEstimator
 
 
-def _replay(batcher: MicroBatcher, plans) -> tuple:
+def _replay(resilient: ResilientEstimator, plans) -> tuple:
     """Serve every plan one-by-one; count exceptions instead of raising."""
     values: List[float] = []
     unhandled = 0
     for plan in plans:
         try:
-            values.append(batcher.submit(plan).result())
+            values.append(resilient.predict_plan(plan))
         except Exception:
             unhandled += 1
             values.append(float("nan"))
@@ -68,8 +63,7 @@ def chaos_resilience(scale: BenchScale = DEFAULT,
             sleep=lambda _s: None,
             seed=scale.seed,
         )
-        batcher = MicroBatcher(resilient, max_batch=16, metrics=metrics)
-        values, unhandled = _replay(batcher, plans)
+        values, unhandled = _replay(resilient, plans)
         finite = float(np.mean(np.isfinite(values)))
         degraded = metrics.counter("resilience.degraded").value
         retries = metrics.counter("resilience.retries").value

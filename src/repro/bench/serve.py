@@ -5,11 +5,11 @@ loop (encode one plan, run one autograd forward, repeat):
 
 - **per-plan** — the legacy path: one encoded batch of size 1 and one
   graph-building forward per plan;
-- **micro-batched** — the same single-plan call sites, but routed through
-  a :class:`~repro.serve.batching.MicroBatcher` that coalesces them into
-  batched, graph-free inference;
-- **batched** — ``predict_plans`` on an (uncached) EstimatorService:
-  size-sorted chunks through ``model.infer``;
+- **chunked** — ``predict_plans`` on an (uncached) EstimatorService, one
+  call per ``batch_size``-plan chunk of the workload: batched, graph-free
+  inference for callers that hand over a batch at a time;
+- **batched** — one ``predict_plans`` call over the whole workload on the
+  same uncached service: size-sorted chunks through ``model.infer``;
 - **cached** — a warm EstimatorService serving the whole workload from
   its fingerprint LRU.
 
@@ -34,8 +34,8 @@ from repro.featurize.catcher import catch_plan
 from repro.metrics.tables import format_table
 from repro.nn import no_grad
 from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.serve import ConcurrentEstimatorService, EstimatorService, \
-    MicroBatcher
+from repro.serve import ConcurrentEstimatorService, EstimatorService
+from repro.serve.service import PAD_BASE
 
 
 def _legacy_predict_plan(model, encoder, plan) -> float:
@@ -74,26 +74,22 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
         for plan in plans
     ])
 
-    # Micro-batched single-plan traffic (cache off isolates batching).
+    # One call per batch_size-plan chunk (cache off isolates batching).
+    batch_size = dace.training.batch_size
     uncached = EstimatorService(
-        dace.model, dace.encoder,
-        batch_size=dace.training.batch_size, cache_size=0,
+        dace.model, dace.encoder, batch_size=batch_size, cache_size=0,
     )
-    batcher = MicroBatcher(uncached, max_batch=dace.training.batch_size)
-
-    def run_micro():
-        handles = [batcher.submit(plan) for plan in plans]
-        batcher.flush()
-        return [handle.result() for handle in handles]
-
-    micro_qps = timed(run_micro)
+    chunked_qps = timed(lambda: [
+        uncached.predict_plans(plans[start:start + batch_size])
+        for start in range(0, n_plans, batch_size)
+    ])
 
     # One batched call, still uncached.
     batched_qps = timed(lambda: uncached.predict_plans(plans), rounds=3)
 
     # Warm cache: every plan served from the fingerprint LRU.
     cached = EstimatorService(
-        dace.model, dace.encoder, batch_size=dace.training.batch_size,
+        dace.model, dace.encoder, batch_size=batch_size,
         cache_size=max(len(base_plans), 1),
     )
     cached.predict_plans(plans)            # warm
@@ -104,7 +100,7 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     rows: List[list] = []
     results = {}
     for name, qps in [("per-plan", single_qps),
-                      ("micro-batched", micro_qps),
+                      ("chunked", chunked_qps),
                       ("batched", batched_qps),
                       ("cached", cached_qps)]:
         rows.append([name, qps, qps / single_qps])
@@ -113,14 +109,14 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     table = format_table(
         ["path", "plans/s", "speedup"], rows,
         title=f"Serving throughput ({n_plans} plans, "
-              f"batch={dace.training.batch_size}, "
+              f"batch={batch_size}, "
               f"cache hit rate {stats.hit_rate:.0%})",
     )
     return {
         "table": table,
         "results": results,
         "n_plans": n_plans,
-        "micro_speedup": micro_qps / single_qps,
+        "chunked_speedup": chunked_qps / single_qps,
         "batched_speedup": batched_qps / single_qps,
         "cached_speedup": cached_qps / single_qps,
         "cache_hit_rate": stats.hit_rate,
@@ -186,7 +182,7 @@ def serve_fused(scale: BenchScale = DEFAULT) -> dict:
 
     # Kernel vs per-layer forward on one padded bucket (model work only).
     caught = [catch_plan(plan) for plan in plans]
-    bucket = [c for c in caught if c.num_nodes <= fused.pad_base]
+    bucket = [c for c in caught if c.num_nodes <= PAD_BASE]
     bucket = (bucket or caught)[:batch_size]
     kernel_batch = dace.encoder.encode_batch(
         bucket, with_labels=False,
@@ -294,14 +290,13 @@ def serve_concurrency(scale: BenchScale = DEFAULT) -> dict:
     import statistics
 
     from repro.featurize.catcher import catch_plan
-    from repro.serve.service import DEFAULT_PAD_BASE
 
     dace = pretrain_dace(scale, exclude="imdb")
     base = get_workload1(scale)["imdb"]
     # One padding bucket: identical per-request work (see docstring).
     bucket_plans = [
         sample.plan for sample in base
-        if catch_plan(sample.plan).num_nodes <= DEFAULT_PAD_BASE
+        if catch_plan(sample.plan).num_nodes <= PAD_BASE
     ]
     base_plans = bucket_plans or [sample.plan for sample in base]
     # Longer runs than the other serving benches: the paired-ratio

@@ -165,7 +165,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.serve import ChaosEstimator, ConcurrentEstimatorService, \
-        CostFallback, MicroBatcher, ResilientEstimator
+        CostFallback, ResilientEstimator
 
     if args.shards and args.workers:
         raise SystemExit(
@@ -199,7 +199,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         estimator = resilient
     pool = None
-    batcher = None
     if args.workers:
         # Concurrent replay: N closed-loop client threads hammer the
         # thread-pool front-end with single-plan calls; the leader drain
@@ -224,18 +223,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for thread in clients:
                 thread.join()
             return out
-    else:
-        batcher = MicroBatcher(estimator, max_batch=args.max_batch)
 
     start = time.perf_counter()
     predictions = []
+    batches = 0
     for _ in range(repeats):
         if pool is not None:
             predictions = _replay_concurrent()
         else:
-            handles = [batcher.submit(plan) for plan in plans]
-            batcher.flush()
-            predictions = [handle.result() for handle in handles]
+            # Serial replay: price the workload in --max-batch chunks.
+            predictions = []
+            for offset in range(0, len(plans), args.max_batch):
+                chunk = plans[offset:offset + args.max_batch]
+                predictions.extend(estimator.predict_plans(chunk))
+                batches += 1
     elapsed = time.perf_counter() - start
     if pool is not None:
         pool.close()
@@ -250,8 +251,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"pool: workers={args.workers} drains={drains.count} "
               f"mean_flush={drains.mean:.1f} (max_batch={args.max_batch})")
     else:
-        print(f"micro-batches: {batcher.batches_run} "
-              f"(max_batch={args.max_batch})")
+        print(f"batches: {batches} (max_batch={args.max_batch})")
     print(f"cache: {stats}")
     fused_fwd = dace.metrics.counter("serve.fused.forwards").value
     fused_fb = dace.metrics.counter("serve.fused.fallbacks").value
@@ -642,7 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "batching (default: single-threaded replay); "
                             "not with --shards")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batcher coalescing size")
+                       help="plans per batched call: the serial "
+                            "replay's chunk size, and the pool's and "
+                            "shards' largest batch")
     serve.add_argument("--shards", type=int, default=None, metavar="N",
                        help="serve through a FleetGateway of N shards "
                             "(consistent-hash routing, per-tenant LoRA, "

@@ -239,10 +239,10 @@ class PlanEncoder:
         serving stack's determinism guarantee under concurrent batching.
 
         ``node_features`` supplies precomputed :meth:`encode_plan` arrays
-        (one per plan, same order), letting callers fan the pure-Python
-        encoding loop out across worker threads and keep only the cheap
-        padded assembly here.  The arrays must be exactly what
-        ``encode_plan`` returns, so assembly stays bit-identical.
+        (one per plan, same order), letting the serving path reuse
+        encodings it has memoized and keep only the padded assembly here.
+        The arrays must be exactly what ``encode_plan`` returns, so
+        assembly stays bit-identical.
         """
         if not plans:
             raise ValueError("empty batch")

@@ -3,7 +3,7 @@
 This package substitutes for PyTorch in the DACE reproduction.  It provides
 exactly the pieces the paper's models need: a :class:`~repro.nn.tensor.Tensor`
 with reverse-mode autodiff and broadcasting, linear/ReLU/LayerNorm layers,
-masked attention, Adam/SGD optimizers, LoRA adapters and the weighted
+masked attention, the Adam optimizer, LoRA adapters and the weighted
 q-error loss.
 """
 
@@ -11,7 +11,7 @@ from repro.nn.tensor import Tensor, no_grad
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import LayerNorm, Linear, ReLU, Sequential
 from repro.nn.attention import masked_self_attention, masked_self_attention_infer
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.losses import log_qerror_loss, qerror
 from repro.nn.lora import LoRALinear
 from repro.nn.init import kaiming_uniform
@@ -28,7 +28,6 @@ __all__ = [
     "masked_self_attention",
     "masked_self_attention_infer",
     "Optimizer",
-    "SGD",
     "Adam",
     "qerror",
     "log_qerror_loss",

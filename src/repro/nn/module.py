@@ -1,4 +1,4 @@
-"""Module base class: parameter registry, train/eval mode, state dicts."""
+"""Module base class: parameter registry, gradient management, state dicts."""
 
 from __future__ import annotations
 
@@ -33,9 +33,6 @@ class Module:
     attributes; they are discovered automatically for optimization and
     serialization, mirroring the PyTorch convention.
     """
-
-    def __init__(self) -> None:
-        self.training = True
 
     # ------------------------------------------------------------------ #
     # Discovery
@@ -74,18 +71,8 @@ class Module:
                         yield from item.modules()
 
     # ------------------------------------------------------------------ #
-    # Mode & gradient management
+    # Gradient management
     # ------------------------------------------------------------------ #
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
-
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers (SGD with momentum, Adam)."""
+"""Gradient-descent optimizers (Adam)."""
 
 from __future__ import annotations
 
@@ -28,35 +28,8 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            velocity *= self.momentum
-            velocity -= self.lr * grad
-            parameter.data = parameter.data + velocity
-
-
 class Adam(Optimizer):
-    """Adam with bias correction and optional decoupled weight decay.
+    """Adam with bias correction.
 
     ``step`` is fully in-place: the moment estimates, the update, and the
     parameter itself are mutated through two preallocated per-parameter
@@ -73,12 +46,10 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         # Scratch buffers reused every step (one pair per parameter).
@@ -111,9 +82,6 @@ class Adam(Optimizer):
             s1 += self.eps
             np.divide(m, bias1, out=s2)
             s2 /= s1
-            if self.weight_decay:
-                np.multiply(parameter.data, self.weight_decay, out=s1)
-                s2 += s1
             # parameter = parameter - lr*update
             s2 *= self.lr
             parameter.data -= s2

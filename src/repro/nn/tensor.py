@@ -403,24 +403,6 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data**2))
-
-        return self._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return self._make(data, (self,), backward)
-
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)

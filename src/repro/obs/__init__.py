@@ -15,10 +15,10 @@ Dependency-free instrumentation shared by the whole stack:
 - :data:`~repro.obs.registry.NULL_REGISTRY` — the no-op twin used to
   measure instrumentation overhead.
 
-The serving stack (`EstimatorService`, `MicroBatcher`) and the `Trainer`
-accept a registry and record per-stage timings onto it; ``python -m
-repro serve --metrics out.jsonl`` dumps a report and ``python -m repro
-obs out.jsonl`` pretty-prints one.
+The serving stack (`EstimatorService`, the worker pool, the resilience
+tier) and the `Trainer` accept a registry and record per-stage timings
+onto it; ``python -m repro serve --metrics out.jsonl`` dumps a report and
+``python -m repro obs out.jsonl`` pretty-prints one.
 """
 
 from repro.obs.export import (

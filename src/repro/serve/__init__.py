@@ -11,19 +11,14 @@ Everything downstream of a trained model goes through this package:
   structure-of-arrays serving forward cache-miss buckets run through
   (byte-identical to per-layer ``Module.infer``; LoRA-delta and
   non-DACE configurations fall back automatically);
-- :class:`~repro.serve.batching.MicroBatcher` — coalesces single-plan
-  call sites into batched inference, with per-handle error propagation
-  and a queue-staleness flush deadline;
 - :class:`~repro.serve.concurrent.ConcurrentEstimatorService` — a
-  thread-pool front-end that coalesces *concurrent* single-plan traffic
-  into batched forwards (leader/followers drain) and fans plan encoding
-  across workers, byte-identical to the serial path;
+  thread-pool front-end that coalesces *concurrent* traffic into batched
+  forwards (leader/followers drain), byte-identical to the serial path;
 - :class:`~repro.serve.resilience.ResilientEstimator` — deadlines,
   bounded retries with deterministic jitter, a circuit breaker, and a
   final optimizer-cost degradation tier (:class:`~repro.serve.resilience.
   CostFallback`) so serving never raises;
-- :class:`~repro.serve.chaos.ChaosEstimator` /
-  :class:`~repro.serve.chaos.ChaosEncoder` — seeded fault injection
+- :class:`~repro.serve.chaos.ChaosEstimator` — seeded fault injection
   (errors, NaN outputs, latency spikes) for chaos testing and the
   ``serve --chaos`` replay mode;
 - :class:`~repro.serve.registry.ModelRegistry` — hot-swaps
@@ -35,12 +30,10 @@ Everything downstream of a trained model goes through this package:
   ``fleet.*`` metrics.
 """
 
-from repro.serve.batching import MicroBatcher, PendingPrediction
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.concurrent import ConcurrentEstimatorService, PoolPrediction
 from repro.serve.chaos import (
     ChaosConfig,
-    ChaosEncoder,
     ChaosEstimator,
     InjectedFault,
 )
@@ -75,8 +68,6 @@ __all__ = [
     "FleetGateway",
     "FleetPrediction",
     "FleetShard",
-    "MicroBatcher",
-    "PendingPrediction",
     "ModelRegistry",
     "LRUCache",
     "CacheStats",
@@ -88,7 +79,6 @@ __all__ = [
     "STATE_HALF_OPEN",
     "STATE_OPEN",
     "ChaosConfig",
-    "ChaosEncoder",
     "ChaosEstimator",
     "InjectedFault",
     "as_plan_scorers",

@@ -1,7 +1,7 @@
 """Fault injection for the serving stack: chaos testing as a first-class tool.
 
-:class:`ChaosEstimator` and :class:`ChaosEncoder` wrap a real estimator /
-encoder and inject three fault classes from a **seeded** RNG:
+:class:`ChaosEstimator` wraps a real estimator and injects three fault
+classes from a **seeded** RNG:
 
 - **errors** — raise :class:`InjectedFault` instead of answering;
 - **NaN outputs** — corrupt one entry of an otherwise-valid answer
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.engine.plan import PlanNode
 
-__all__ = ["ChaosConfig", "ChaosEstimator", "ChaosEncoder", "InjectedFault"]
+__all__ = ["ChaosConfig", "ChaosEstimator", "InjectedFault"]
 
 
 class InjectedFault(RuntimeError):
@@ -74,8 +74,13 @@ class ChaosConfig:
         )
 
 
-class _ChaosBase:
-    """Shared fault roll + delegation for the chaos wrappers."""
+class ChaosEstimator:
+    """Estimator-protocol wrapper that injects faults from a seeded RNG.
+
+    One fault category is drawn per *call* (not per plan): an injected
+    error raises before the inner estimator runs, a latency spike sleeps
+    first, and a NaN fault corrupts one random entry of the inner answer.
+    """
 
     def __init__(self, inner, config: Optional[ChaosConfig] = None,
                  sleep=time.sleep) -> None:
@@ -118,15 +123,6 @@ class _ChaosBase:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-class ChaosEstimator(_ChaosBase):
-    """Estimator-protocol wrapper that injects faults from a seeded RNG.
-
-    One fault category is drawn per *call* (not per plan): an injected
-    error raises before the inner estimator runs, a latency spike sleeps
-    first, and a NaN fault corrupts one random entry of the inner answer.
-    """
 
     @classmethod
     def with_fault_rate(cls, estimator, rate: float, seed: int = 0,
@@ -176,38 +172,3 @@ class ChaosEstimator(_ChaosBase):
         values = self._inner.predict(dataset)
         return self._corrupt(values) if kind == "nan" else values
 
-
-class ChaosEncoder(_ChaosBase):
-    """Encoder wrapper injecting faults into ``encode_batch``.
-
-    Exercises the *other* failure surface of the serving path: an
-    exception or NaN features produced before the model ever runs.  All
-    non-encoding attributes (``fit``, ``dim``, ``extra_features``,
-    ``scaler``, ...) pass through to the wrapped encoder.
-    """
-
-    @classmethod
-    def with_fault_rate(cls, encoder, rate: float, seed: int = 0,
-                        latency_s: float = 0.005,
-                        sleep=time.sleep) -> "ChaosEncoder":
-        return cls(
-            encoder,
-            ChaosConfig.with_fault_rate(rate, seed=seed, latency_s=latency_s),
-            sleep=sleep,
-        )
-
-    @property
-    def encoder(self):
-        return self._inner
-
-    def encode_batch(self, plans, with_labels: bool = True):
-        kind = self._roll()
-        self._fire(kind)
-        batch = self._inner.encode_batch(plans, with_labels=with_labels)
-        if kind == "nan":
-            features = np.array(batch.features, dtype=np.float64)
-            if features.size:
-                index = int(self._rng.integers(features.size))
-                features.flat[index] = np.nan
-            batch.features = features
-        return batch

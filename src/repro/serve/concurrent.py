@@ -18,23 +18,18 @@ efficiency with a *leader/followers* queue in front of an
   ``encode_batch``, one model forward), resolves each request through one
   event and one list of values, and loops until the queue is empty — so
   whatever requests pile up while a forward is running are coalesced
-  into the next one (dynamic batching);
-- large miss chunks additionally fan the pure-Python ``encode_plan``
-  loop out across the pool's idle workers (the service's
-  ``encode_fanout`` hook), keeping only the padded assembly and the
-  forward serial.
+  into the next one (dynamic batching).
 
 **Determinism.**  Because the underlying service pads every forward to a
-bucketed width (``pad_base``), a plan's predicted bits are independent of
+bucketed width (``PAD_BASE``), a plan's predicted bits are independent of
 which requests it happens to be coalesced with: ``workers=8`` answers
 byte-for-byte what ``workers=1`` — and the plain serial service —
 answers.  ``tests/serve/test_concurrency.py`` pins this.
 
 **Deadlock audit.**  Pool demand is bounded by construction: at most one
 drain task exists at a time (the ``_leader_active`` flag flips under the
-queue lock), and encode fan-out submits at most ``workers - 1`` slices
-per caller while the submitting thread encodes its own slice inline —
-so no pool task ever blocks waiting for a pool slot.  Lock order is
+queue lock), and a drain submits nothing to the pool, so no pool task
+ever blocks waiting for a pool slot.  Lock order is
 queue lock → (service internals: cache mutex → metric lock); the queue
 lock is never held across an estimator call.  See "Concurrency model" in
 ``docs/architecture.md``.
@@ -60,10 +55,6 @@ from repro.engine.plan import PlanNode
 from repro.featurize.catcher import CaughtPlan, catch_plan
 from repro.obs import MetricsRegistry
 
-# Chunks smaller than this encode inline: on small batches the pool
-# submit/result overhead outweighs the parallel encode.
-MIN_FANOUT_PLANS = 16
-
 
 def _defined_on_class(obj, name: str) -> bool:
     """True when ``name`` is a real method of ``obj``'s class.
@@ -74,25 +65,6 @@ def _defined_on_class(obj, name: str) -> bool:
     bound method — calling it would silently skip the wrapper's tiers.
     """
     return any(name in klass.__dict__ for klass in type(obj).__mro__)
-
-
-def _fanout_consumer(service):
-    """The object that actually reads the ``encode_fanout`` hook.
-
-    Walks the known delegation links (``estimator``, ``_inner``,
-    ``service``) down to the instance that owns an ``encode_fanout``
-    attribute — setting the hook on a delegating wrapper would satisfy
-    ``getattr`` but never be seen by the underlying EstimatorService.
-    """
-    node, seen = service, set()
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        state = getattr(node, "__dict__", {})
-        if "encode_fanout" in state:
-            return node
-        node = (state.get("estimator") or state.get("_inner")
-                or state.get("service"))
-    return None
 
 
 # Shared by every handle answered at birth (a fleet cache hit); never cleared.
@@ -137,9 +109,8 @@ class PoolPrediction:
     A request is the plans of one ``submit`` (a single plan) or one
     ``max_batch``-plan slice of a ``predict_plans``/``predict_caught``
     call.  A drain serves it whole and resolves it through one event and
-    one list of values.  Unlike :class:`~repro.serve.batching.PendingPrediction`
-    there is nothing to flush: a pending handle always has an active
-    drain working toward it, so ``result()`` just waits for resolution or
+    one list of values.  A pending handle always has an active drain
+    working toward it, so ``result()`` just waits for resolution or
     rejection.  A handle built with ``values`` is answered at birth.
     """
 
@@ -199,9 +170,9 @@ class ConcurrentEstimatorService:
     :class:`EstimatorService` is itself safe for concurrent callers, so
     direct calls to it may coexist with the pool.
 
-    ``workers=1`` still batches (requests queued during a forward
-    coalesce into the next drain) but never fans encoding out — the
-    single pool thread is the leader.
+    The executor only ever runs the drain, one at a time, so requests
+    queued during a forward coalesce into the next drain whatever
+    ``workers`` is.
     """
 
     def __init__(
@@ -209,25 +180,19 @@ class ConcurrentEstimatorService:
         service,
         workers: int = 4,
         max_batch: Optional[int] = None,
-        min_fanout: int = MIN_FANOUT_PLANS,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if min_fanout < 2:
-            # The fan-out split divides by min_fanout // 2; below 2 the
-            # per-plan pool overhead swamps the encode anyway.
-            raise ValueError(f"min_fanout must be >= 2, got {min_fanout}")
         self.service = service
         self.workers = workers
         # Usually an EstimatorService, but any estimator works (e.g. a
-        # ResilientEstimator): the extras — shared batch size, registry,
-        # encode fan-out — degrade gracefully when absent.
+        # ResilientEstimator): the extras — shared batch size and
+        # registry — degrade gracefully when absent.
         self.max_batch = max_batch if max_batch is not None else (
             getattr(service, "batch_size", None) or 64
         )
-        self.min_fanout = min_fanout
         metrics = getattr(service, "metrics", None)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._pool = ThreadPoolExecutor(
@@ -255,21 +220,6 @@ class ConcurrentEstimatorService:
         # one request, whatever its size — never waits.
         self.gather_s = 0.0005
         self._last_flush = 1
-        # One bound-method object for the hook's whole lifetime: every
-        # `self._fanout_encode` access builds a *new* bound method, so
-        # install/detach/deepcopy identity tests must all go through this
-        # single stored reference.
-        self._fanout_hook = self._fanout_encode
-        # Install on the object that actually consumes the hook (the
-        # underlying EstimatorService when `service` is a delegating
-        # wrapper), and remember it so close() detaches from the same
-        # place.
-        self._fanout_target = None
-        if workers > 1:
-            target = _fanout_consumer(service)
-            if target is not None and target.encode_fanout is None:
-                target.encode_fanout = self._fanout_hook
-                self._fanout_target = target
         self._catch = CatchMemo().catch
         # MRO probe, not hasattr: a delegating wrapper would pass
         # hasattr while handing back the inner service's bound method,
@@ -441,33 +391,6 @@ class ConcurrentEstimatorService:
                 and self._queued_plans < self.max_batch
                 and not self._closed)
 
-    def _fanout_encode(
-        self, plans: Sequence[CaughtPlan]
-    ) -> List[np.ndarray]:
-        """Encode a miss chunk, slicing it across idle pool workers.
-
-        At most ``workers - 1`` slices go to the pool; the calling thread
-        (usually the drain leader) encodes the first slice itself, so
-        this never waits on a pool slot it might be occupying.
-        """
-        encoder = self.service.encoder
-        total = len(plans)
-        parts = min(self.workers, max(1, total // (self.min_fanout // 2)))
-        if total < self.min_fanout or parts < 2:
-            return [encoder.encode_plan(plan) for plan in plans]
-        bounds = [total * i // parts for i in range(parts + 1)]
-        slices = [plans[bounds[i]:bounds[i + 1]] for i in range(parts)]
-        futures = [
-            self._pool.submit(
-                lambda chunk: [encoder.encode_plan(p) for p in chunk], piece
-            )
-            for piece in slices[1:]
-        ]
-        encoded = [encoder.encode_plan(plan) for plan in slices[0]]
-        for future in futures:
-            encoded.extend(future.result())
-        return encoded
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -477,14 +400,6 @@ class ConcurrentEstimatorService:
             self._closed = True
             self._work.notify_all()  # lingering leaders exit promptly
         self._pool.shutdown(wait=True)
-        # Detach using the stored hook object: a fresh
-        # `self._fanout_encode` bound method would never compare `is`
-        # equal, leaving the consumer submitting to a dead executor.
-        target = self._fanout_target
-        if (target is not None
-                and target.encode_fanout is self._fanout_hook):
-            target.encode_fanout = None
-        self._fanout_target = None
 
     def __enter__(self) -> "ConcurrentEstimatorService":
         return self
@@ -495,18 +410,10 @@ class ConcurrentEstimatorService:
     def __deepcopy__(self, memo) -> "ConcurrentEstimatorService":
         # A pool is runtime machinery (executor threads, condition
         # variables): copying means building a fresh pool around a copy
-        # of the wrapped service, not duplicating live threads.  The
-        # service's encode_fanout holds our bound hook, whose __self__
-        # is this pool — map it to None up front so copying the service
-        # cannot re-enter here and build a hidden second pool; the
-        # clone's constructor installs its own hook on the copy.
-        memo[id(self._fanout_hook)] = None
+        # of the wrapped service, not duplicating live threads.
         service = copy.deepcopy(self.service, memo)
         clone = ConcurrentEstimatorService(
-            service,
-            workers=self.workers,
-            max_batch=self.max_batch,
-            min_fanout=self.min_fanout,
+            service, workers=self.workers, max_batch=self.max_batch,
         )
         memo[id(self)] = clone
         return clone

@@ -3,8 +3,8 @@
 Apps, benchmarks, and the CLI accept *any* object speaking this protocol —
 a fitted :class:`~repro.core.estimator.DACE`, an
 :class:`~repro.serve.service.EstimatorService`, a
-:class:`~repro.serve.batching.MicroBatcher`, an ensemble, or a hand-rolled
-stub in tests.  Two adapter helpers keep older call sites working: plain
+:class:`~repro.serve.concurrent.ConcurrentEstimatorService`, an ensemble,
+or a hand-rolled stub in tests.  Two adapter helpers keep older call sites working: plain
 ``plan -> ms`` callables and precomputed prediction arrays both normalize
 onto the protocol.
 """

@@ -82,7 +82,7 @@ from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.concurrent import CatchMemo, PoolPrediction
 from repro.serve.registry import ModelRegistry
 from repro.serve.resilience import CostFallback, ResilientEstimator
-from repro.serve.service import DEFAULT_PAD_BASE, EstimatorService
+from repro.serve.service import EstimatorService
 
 DEFAULT_REPLICAS = 64
 DEFAULT_MAX_QUEUE = 256
@@ -194,7 +194,6 @@ class FleetShard:
         max_queue: int = DEFAULT_MAX_QUEUE,
         metrics: Optional[MetricsRegistry] = None,
         fused: Optional[bool] = None,
-        pad_base: Optional[int] = DEFAULT_PAD_BASE,
         resilient: bool = False,
         shard_wrapper=None,
     ) -> None:
@@ -217,7 +216,6 @@ class FleetShard:
             batch_size=batch_size,
             cache_size=0,
             metrics=self.metrics,
-            pad_base=pad_base,
             fused=fused,
         )
         estimator = self.service
@@ -462,7 +460,6 @@ class FleetGateway:
         replicas: int = DEFAULT_REPLICAS,
         metrics: Optional[MetricsRegistry] = None,
         fused: Optional[bool] = None,
-        pad_base: Optional[int] = DEFAULT_PAD_BASE,
         resilient: bool = False,
         shard_wrapper=None,
     ) -> None:
@@ -472,8 +469,8 @@ class FleetGateway:
         self.encoder = encoder
         shard_kwargs = dict(
             batch_size=batch_size, cache_size=cache_size,
-            max_queue=max_queue, fused=fused, pad_base=pad_base,
-            resilient=resilient, shard_wrapper=shard_wrapper,
+            max_queue=max_queue, fused=fused, resilient=resilient,
+            shard_wrapper=shard_wrapper,
         )
         self._ctor_kwargs = dict(shard_kwargs, replicas=replicas)
         self.shards = [

@@ -300,8 +300,8 @@ class ResilientEstimator:
         # only mutable state on the retry path, so give it its own lock.
         self._rng = np.random.default_rng(seed)
         self._rng_lock = threading.Lock()
-        # Share the wrapped estimator's registry when it has one, matching
-        # MicroBatcher: one report covers the whole serving stack.
+        # Share the wrapped estimator's registry when it has one: one
+        # report covers the whole serving stack.
         if metrics is None:
             metrics = getattr(estimator, "metrics", None)
         self.metrics = metrics if metrics is not None else MetricsRegistry()

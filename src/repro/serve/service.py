@@ -35,14 +35,14 @@ hit/miss/eviction counters (``serve.cache.*``).
 
 **Deterministic batching.**  Model outputs shift at the ~1e-14 level when
 the padded width of a batch changes, so two calls that co-batch a plan
-with different neighbours would disagree in the last bits.  By default
-the service therefore pads every forward to a *bucketed* width —
-``pad_base`` (16), doubling as plans outgrow it — and only co-batches
-plans from the same bucket.  A plan's bits then depend on nothing but the
-plan itself, which is what lets the concurrent front-end
+with different neighbours would disagree in the last bits.  The service
+therefore pads every forward to a *bucketed* width — ``PAD_BASE`` (16),
+growing by x1.5 as plans outgrow it — and only co-batches plans from the
+same bucket.  A plan's bits then depend on nothing but the plan itself,
+which is what lets the concurrent front-end
 (:class:`~repro.serve.concurrent.ConcurrentEstimatorService`) coalesce
 arbitrary request mixes and still answer byte-for-byte equal to the
-serial path.  ``pad_base=None`` restores the legacy tight padding.
+serial path.
 
 **Thread safety.**  The service holds no per-call mutable state: model
 weights and the fitted scaler are read-only at serving time, the LRU
@@ -55,7 +55,7 @@ is benign and lock-free reads stay cheap.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +67,8 @@ from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.fused import FusedInferStep, maybe_fused_infer
 
 DEFAULT_CACHE_SIZE = 4096
-DEFAULT_PAD_BASE = 16
+# Narrowest padded width a forward runs at (see _pad_width).
+PAD_BASE = 16
 
 
 class EstimatorService:
@@ -80,27 +81,13 @@ class EstimatorService:
         batch_size: int = 64,
         cache_size: int = DEFAULT_CACHE_SIZE,
         metrics: Optional[MetricsRegistry] = None,
-        pad_base: Optional[int] = DEFAULT_PAD_BASE,
-        encode_fanout: Optional[
-            Callable[[Sequence[CaughtPlan]], List[np.ndarray]]
-        ] = None,
         fused: Optional[bool] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if pad_base is not None and pad_base < 1:
-            raise ValueError(f"pad_base must be >= 1, got {pad_base}")
         self.model = model
         self.encoder = encoder
         self.batch_size = batch_size
-        # Deterministic padding: forwards are padded to pad_base * 2**k,
-        # and only same-bucket plans share a forward, so each plan's bits
-        # are a function of the plan alone (None = legacy tight padding).
-        self.pad_base = pad_base
-        # Optional hook mapping a chunk of caught plans to their
-        # encode_plan arrays — ConcurrentEstimatorService points this at
-        # its worker pool to parallelize the encoding loop.
-        self.encode_fanout = encode_fanout
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Workload-dependent extra features read predicate literals the
         # fingerprint does not cover, so two distinct plans can share a
@@ -233,17 +220,15 @@ class EstimatorService:
     # ------------------------------------------------------------------ #
     # Deterministic chunking
     # ------------------------------------------------------------------ #
-    def _pad_width(self, num_nodes: int) -> Optional[int]:
-        """Bucketed padded width for a plan, or None for tight padding.
+    def _pad_width(self, num_nodes: int) -> int:
+        """Bucketed padded width for a plan.
 
         Buckets grow by x1.5 (16, 24, 36, 54, ...): attention cost is
         quadratic in the padded width, so doubling buckets waste up to
         4x compute on plans just past a boundary; x1.5 caps the waste at
         ~2.25x worst case while keeping the bucket count small.
         """
-        if self.pad_base is None:
-            return None
-        width = self.pad_base
+        width = PAD_BASE
         while width < num_nodes:
             width += width >> 1
         return width
@@ -254,8 +239,6 @@ class EstimatorService:
         Chunks never mix padding buckets: since ``misses`` is sorted by
         node count, each bucket is a contiguous run, and a chunk ends at
         ``batch_size`` or at the bucket boundary, whichever comes first.
-        With ``pad_base=None`` every width is None and this degenerates to
-        plain ``batch_size`` slicing.
         """
         start = 0
         total = len(misses)
@@ -275,33 +258,21 @@ class EstimatorService:
         """Per-plan ``encode_plan`` arrays for one chunk, memoized.
 
         Hits come from the fingerprint-keyed encoding memo; misses are
-        computed — through ``encode_fanout`` when installed — and stored
-        read-only.  Returns None when fingerprints are unsafe (the
-        encoder reads predicate literals the fingerprint does not
-        cover), letting ``encode_batch`` do the work directly.
+        computed and stored read-only.  Returns None when fingerprints
+        are unsafe (the encoder reads predicate literals the fingerprint
+        does not cover), letting ``encode_batch`` do the work directly.
         """
         if not self._fingerprint_safe:
-            if self.encode_fanout is not None:
-                return self.encode_fanout(chunk_plans)
             return None
         features = [
             self._encodings.get(plan.fingerprint()) for plan in chunk_plans
         ]
-        missing = [i for i, arr in enumerate(features) if arr is None]
-        if missing:
-            miss_plans = [chunk_plans[i] for i in missing]
-            if self.encode_fanout is not None:
-                computed = self.encode_fanout(miss_plans)
-            else:
-                computed = [
-                    self.encoder.encode_plan(plan) for plan in miss_plans
-                ]
-            for index, array in zip(missing, computed):
+        for index, plan in enumerate(chunk_plans):
+            if features[index] is None:
+                array = self.encoder.encode_plan(plan)
                 array.flags.writeable = False
                 features[index] = array
-                self._encodings.put(
-                    chunk_plans[index].fingerprint(), array
-                )
+                self._encodings.put(plan.fingerprint(), array)
         return features
 
     # ------------------------------------------------------------------ #

@@ -83,12 +83,6 @@ class TestElementwiseGrads:
         x[np.abs(x) < 0.1] = 0.5  # keep away from the kink
         check_grad(lambda t: t.relu().sum(), x)
 
-    def test_tanh(self):
-        check_grad(lambda t: t.tanh().sum(), RNG.normal(size=(5,)))
-
-    def test_sigmoid(self):
-        check_grad(lambda t: t.sigmoid().sum(), RNG.normal(size=(5,)))
-
 
 class TestMatmulGrads:
     def test_matmul_2d(self):

@@ -1,4 +1,4 @@
-"""The hot path reports itself: service, batcher, and trainer metrics."""
+"""The hot path reports itself: service and trainer metrics."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core import DACEModel, Trainer, TrainingConfig
 from repro.featurize import PlanEncoder, catch_plan
 from repro.obs import MetricsRegistry
-from repro.serve import EstimatorService, MicroBatcher
+from repro.serve import EstimatorService
 
 
 @pytest.fixture(scope="module")
@@ -82,39 +82,6 @@ class TestServiceInstrumentation:
         assert "serve.request_seconds" in names
         # Warm pass: no encode/forward spans, the cache served everything.
         assert "serve.encode_seconds" not in names
-
-
-class TestBatcherInstrumentation:
-    def test_shares_service_registry(self, setup):
-        model, encoder, _, plans = setup
-        service = EstimatorService(model, encoder)
-        batcher = MicroBatcher(service, max_batch=4)
-        assert batcher.metrics is service.metrics
-
-    def test_flush_metrics(self, setup):
-        model, encoder, _, plans = setup
-        service = EstimatorService(model, encoder, cache_size=0)
-        batcher = MicroBatcher(service, max_batch=4)
-        for plan in plans[:10]:
-            batcher.submit(plan)
-        batcher.flush()
-        registry = batcher.metrics
-        assert registry.get("batch.flushes").value == 3    # 4 + 4 + 2
-        assert registry.get("batch.plans").value == 10
-        assert registry.get("batch.flush_size").count == 3
-        assert registry.get("batch.flush_size").max == 4
-        assert registry.get("batch.queue_depth").value == 0
-        assert registry.get("batch.coalescing_ratio").value == \
-            pytest.approx(10 / 3)
-
-    def test_queue_depth_tracks_pending(self, setup):
-        model, encoder, _, plans = setup
-        batcher = MicroBatcher(
-            EstimatorService(model, encoder), max_batch=64
-        )
-        for plan in plans[:3]:
-            batcher.submit(plan)
-        assert batcher.metrics.get("batch.queue_depth").value == 3
 
 
 class TestTrainerInstrumentation:

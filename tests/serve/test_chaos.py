@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.engine.plan import PlanNode
 from repro.serve import (
     ChaosConfig,
-    ChaosEncoder,
     ChaosEstimator,
     InjectedFault,
 )
@@ -229,40 +228,3 @@ class TestDeterminism:
             chaos.predict_plan(plan)
         reference = np.random.default_rng(3).random(4)
         assert float(chaos._rng.random()) != pytest.approx(reference[0])
-
-
-# ---------------------------------------------------------------------- #
-# ChaosEncoder
-# ---------------------------------------------------------------------- #
-class TestChaosEncoder:
-    def _fitted(self, train_datasets):
-        from repro.featurize import PlanEncoder, catch_plan
-
-        plans = [s.plan for s in train_datasets[0]][:30]
-        caught = [catch_plan(p) for p in plans]
-        return PlanEncoder().fit(caught), caught
-
-    def test_zero_rate_passthrough(self, train_datasets):
-        encoder, plans = self._fitted(train_datasets)
-        chaos = ChaosEncoder.with_fault_rate(encoder, 0.0, seed=1)
-        clean = encoder.encode_batch(plans, with_labels=False)
-        wrapped = chaos.encode_batch(plans, with_labels=False)
-        np.testing.assert_array_equal(wrapped.features, clean.features)
-
-    def test_error_fault_raises(self, train_datasets):
-        encoder, plans = self._fitted(train_datasets)
-        chaos = ChaosEncoder(encoder, ChaosConfig(error_rate=1.0))
-        with pytest.raises(InjectedFault):
-            chaos.encode_batch(plans)
-
-    def test_nan_fault_poisons_features(self, train_datasets):
-        encoder, plans = self._fitted(train_datasets)
-        chaos = ChaosEncoder(encoder, ChaosConfig(nan_rate=1.0))
-        batch = chaos.encode_batch(plans, with_labels=False)
-        assert np.isnan(batch.features).sum() == 1
-
-    def test_delegates_fitted_attributes(self, train_datasets):
-        encoder, _ = self._fitted(train_datasets)
-        chaos = ChaosEncoder(encoder, ChaosConfig())
-        assert chaos.scaler is encoder.scaler
-        assert chaos.encoder is encoder

@@ -8,7 +8,7 @@ break:
 
 - cache accounting balances (``hits + misses == lookups``) and no
   written entry is lost;
-- every ``PendingPrediction``/``PoolPrediction`` resolves or rejects —
+- every ``PoolPrediction`` resolves or rejects —
   none hang;
 - concurrent results are byte-identical to the serial path.
 
@@ -36,7 +36,6 @@ from repro.serve import (
     CostFallback,
     EstimatorService,
     LRUCache,
-    MicroBatcher,
     ResilientEstimator,
 )
 
@@ -139,79 +138,6 @@ class TestServiceHammer:
         distinct = len({catch_plan(p).fingerprint() for p in plans})
         assert stats.misses <= distinct * THREADS  # no runaway misses
         assert stats.hits >= THREADS * per_thread - distinct * THREADS
-
-
-class TestMicroBatcherHammer:
-    def test_all_handles_resolve(self, setup, fast_switching):
-        model, encoder, plans = setup
-        service = EstimatorService(model, encoder, batch_size=16,
-                                   cache_size=0)
-        reference = {
-            id(plan): value
-            for plan, value in zip(plans, service.predict_plans(plans))
-        }
-        batcher = MicroBatcher(service, max_batch=8)
-        handles = [[] for _ in range(THREADS)]
-
-        def client(index):
-            rotated = plans[index:] + plans[:index]
-            for plan in rotated[:30]:
-                handles[index].append((plan, batcher.submit(plan)))
-                if len(handles[index]) % 5 == 0:
-                    batcher.flush()
-
-        _hammer(THREADS, client)
-        batcher.flush()
-        for bucket in handles:
-            for plan, handle in bucket:
-                assert handle.result() == reference[id(plan)]
-        assert batcher.pending == 0
-
-    def test_failing_flush_rejects_instead_of_hanging(
-        self, setup, fast_switching
-    ):
-        model, encoder, plans = setup
-
-        class FlakyEstimator:
-            """Raises on every other batch."""
-
-            def __init__(self, service):
-                self.service = service
-                self.calls = 0
-                self._mutex = threading.Lock()
-
-            def predict_plans(self, batch):
-                with self._mutex:
-                    self.calls += 1
-                    fail = self.calls % 2 == 0
-                if fail:
-                    raise RuntimeError("injected flush failure")
-                return self.service.predict_plans(batch)
-
-        flaky = FlakyEstimator(
-            EstimatorService(model, encoder, batch_size=16, cache_size=0)
-        )
-        batcher = MicroBatcher(flaky, max_batch=4)
-        outcomes = [[] for _ in range(THREADS)]
-
-        def client(index):
-            rotated = plans[index:] + plans[:index]
-            for plan in rotated[:20]:
-                handle = batcher.submit(plan)
-                try:
-                    outcomes[index].append(("ok", handle.result()))
-                except RuntimeError as error:
-                    outcomes[index].append(("rejected", error))
-
-        _hammer(THREADS, client)
-        # The real invariant: every submission reached a terminal state
-        # (no hang — the test finishing at all proves it) and rejected
-        # handles carry the injected error.
-        for bucket in outcomes:
-            assert len(bucket) == 20
-            for kind, payload in bucket:
-                if kind == "rejected":
-                    assert "injected flush failure" in str(payload)
 
 
 class TestCacheHammer:
@@ -441,8 +367,8 @@ class TestRequestQueue:
 
 class TestPoolComposition:
     """The pool must respect the wrappers it is stacked on: no fast path
-    may sneak past resilience or chaos tiers, and hooks it installs must
-    land on (and be removed from) the object that consumes them."""
+    may sneak past resilience or chaos tiers, and it writes nothing into
+    the service it wraps."""
 
     def test_pool_over_resilient_keeps_fault_tolerance(self, setup):
         model, encoder, plans = setup
@@ -493,37 +419,7 @@ class TestPoolComposition:
         ) as pool:
             assert pool._can_serve_caught  # resilient defines it natively
 
-    def test_close_detaches_encode_fanout_hook(self, setup):
-        model, encoder, plans = setup
-        service = EstimatorService(model, encoder, batch_size=64,
-                                   cache_size=0)
-        pool = ConcurrentEstimatorService(service, workers=4, min_fanout=2)
-        assert service.encode_fanout is not None
-        assert pool.predict_plan(plans[0]) > 0
-        pool.close()
-        assert service.encode_fanout is None
-        # Direct service traffic after close must not touch the dead
-        # executor (this raised "cannot schedule new futures" before).
-        direct = service.predict_plans(plans)
-        assert np.all(np.isfinite(direct))
-        pool.close()  # idempotent
-
-    def test_fanout_hook_lands_on_underlying_service(self, setup):
-        model, encoder, _plans = setup
-        service = EstimatorService(model, encoder, batch_size=16)
-        resilient = ResilientEstimator(service, metrics=MetricsRegistry())
-        pool = ConcurrentEstimatorService(resilient, workers=4)
-        try:
-            # The consumer is the EstimatorService, not the wrapper: a
-            # hook set on the wrapper would never be read by the encode
-            # path.
-            assert service.encode_fanout is not None
-            assert "encode_fanout" not in vars(resilient)
-        finally:
-            pool.close()
-        assert service.encode_fanout is None
-
-    def test_deepcopy_clone_owns_its_hook(self, setup):
+    def test_deepcopy_builds_a_fresh_pool(self, setup):
         model, encoder, plans = setup
         service = EstimatorService(model, encoder, batch_size=16,
                                    cache_size=0)
@@ -532,29 +428,33 @@ class TestPoolComposition:
             clone = copy.deepcopy(pool)
             try:
                 assert clone.service is not service
-                # The clone's hook must be bound to the clone itself —
-                # not to a hidden third pool spawned during the copy.
-                assert clone.service.encode_fanout.__self__ is clone
-                assert service.encode_fanout.__self__ is pool
+                assert clone._pool is not pool._pool
                 np.testing.assert_array_equal(
                     clone.predict_plans(plans[:4]),
                     pool.predict_plans(plans[:4]),
                 )
             finally:
                 clone.close()
-            assert clone.service.encode_fanout is None
-            assert service.encode_fanout is not None  # original intact
+            assert pool.predict_plan(plans[0]) > 0  # original still serves
         finally:
             pool.close()
 
-    def test_min_fanout_validation(self, setup):
-        model, encoder, _plans = setup
-        service = EstimatorService(model, encoder, batch_size=16)
-        for bad in (0, 1, -3):
-            with pytest.raises(ValueError, match="min_fanout"):
-                ConcurrentEstimatorService(
-                    service, workers=2, min_fanout=bad
-                )
+    def test_pool_leaves_the_wrapped_service_untouched(self, setup):
+        model, encoder, plans = setup
+        service = EstimatorService(model, encoder, batch_size=16,
+                                   cache_size=0)
+        before = dict(vars(service))
+
+        def unchanged():
+            after = vars(service)
+            return after.keys() == before.keys() and all(
+                after[name] is value for name, value in before.items()
+            )
+
+        with ConcurrentEstimatorService(service, workers=4) as pool:
+            pool.predict_plans(plans[:40])
+            assert unchanged()
+        assert unchanged()
 
 
 class TestDeterminism:

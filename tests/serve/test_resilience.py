@@ -12,13 +12,12 @@ from repro.serve import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
-    ChaosEncoder,
     ChaosEstimator,
     CircuitBreaker,
+    ConcurrentEstimatorService,
     CostFallback,
     Estimator,
     EstimatorService,
-    MicroBatcher,
     ResilientEstimator,
 )
 
@@ -522,7 +521,7 @@ class TestChaosAcceptance:
         assert resilient.degraded_fraction == 0.0
 
 
-class TestResilientUnderMicroBatcher:
+class TestResilientUnderPool:
     def test_result_never_hangs_and_never_raises(self, service_setup):
         model, encoder, base_plans = service_setup
         service = EstimatorService(model, encoder, batch_size=32)
@@ -536,27 +535,13 @@ class TestResilientUnderMicroBatcher:
             clock=clock,
             sleep=clock.sleep,
         )
-        batcher = MicroBatcher(resilient, max_batch=8)
-        handles = [batcher.submit(plan) for plan in base_plans[:40]]
-        values = np.array([handle.result() for handle in handles])
+        with ConcurrentEstimatorService(
+            resilient, workers=2, max_batch=8
+        ) as pool:
+            handles = [pool.submit(plan) for plan in base_plans[:40]]
+            values = np.array([handle.result(timeout=60)
+                               for handle in handles])
         assert np.all(np.isfinite(values))
-
-    def test_flush_deadline_triggers_flush(self, service_setup):
-        model, encoder, base_plans = service_setup
-        service = EstimatorService(model, encoder)
-        clock = ManualClock()
-        batcher = MicroBatcher(
-            service, max_batch=64, flush_deadline_s=1.0, clock=clock
-        )
-        first = batcher.submit(base_plans[0])
-        assert not first.done
-        clock.advance(2.0)
-        second = batcher.submit(base_plans[1])     # stale queue: flush now
-        assert first.done
-        assert second.done
-        assert (
-            batcher.metrics.counter("batch.deadline_flushes").value == 1
-        )
 
 
 class TestDACEResilient:

@@ -1,10 +1,20 @@
 """End-to-end CLI workflows."""
 
+import math
 import os
+import re
 
 import pytest
 
 from repro.cli import main
+
+
+def assert_serial_batches(out: str, max_batch: int) -> None:
+    """The serial replay priced ``max_batch``-plan chunks, every repeat."""
+    plans, repeat = map(int, re.search(
+        r"over (\d+) plans \(x(\d+)\)", out).groups())
+    batches = int(re.search(r"^batches: (\d+) ", out, re.M).group(1))
+    assert batches == math.ceil(plans / max_batch) * repeat
 
 
 class TestCLI:
@@ -77,16 +87,16 @@ class TestCLI:
 
         assert main([
             "serve", "--model", model_dir, "--workload", workload,
-            "--metrics", metrics_path,
+            "--metrics", metrics_path, "--max-batch", "16",
         ]) == 0
         out = capsys.readouterr().out
         assert "plans/s" in out
+        assert_serial_batches(out, 16)
         assert metrics_path in out
         assert os.path.exists(metrics_path)
         dump = open(metrics_path).read()
         for name in ("serve.encode_seconds", "serve.forward_seconds",
-                     "serve.cache.hits", "serve.batch_size",
-                     "batch.flush_size"):
+                     "serve.cache.hits", "serve.batch_size"):
             assert name in dump
 
         assert main(["obs", metrics_path]) == 0
@@ -190,8 +200,10 @@ class TestCLI:
         assert main([
             "serve", "--model", model_dir, "--workload", workload,
             "--chaos", "1.0", "--chaos-seed", "7",
+            "--max-batch", "8", "--repeat", "3",
         ]) == 0
         out = capsys.readouterr().out
+        assert_serial_batches(out, 8)
         assert "chaos: fault_rate=100%" in out
         assert "resilience: breaker=" in out
         assert "injected=" in out

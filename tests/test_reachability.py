@@ -9,6 +9,10 @@ name from a package reaches the module that defines the name, not every
 re-export the package happens to list, and an ``__init__``'s own import
 statements are not edges.  A module nothing reaches is code no
 experiment runs, and should be deleted together with its tests.
+
+The same holds one level down for the public names of ``repro.nn`` and
+``repro.serve``: each must be named by a reachable module, or by one of
+the entry scripts, other than a package ``__init__``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import functools
 import pathlib
 from typing import Dict, Iterator, Optional, Set
 
+import repro.nn
+import repro.serve
 from repro.experiments.registry import cell_names, get_cell
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -111,11 +117,15 @@ def entry_modules() -> Set[str]:
     }
 
 
+def entry_scripts() -> Iterator[pathlib.Path]:
+    for folder in ("benchmarks", "perfbench"):
+        yield from sorted((ROOT / folder).glob("*.py"))
+
+
 def reached() -> Set[str]:
     frontier = set(entry_modules())
-    for folder in ("benchmarks", "perfbench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            frontier |= file_edges(path)
+    for path in entry_scripts():
+        frontier |= file_edges(path)
     seen: Set[str] = set()
     while frontier:
         name = frontier.pop()
@@ -148,3 +158,32 @@ def test_walk_counts_lazy_imports():
         "def f():\n    from repro.core.ensemble import DACEEnsemble\n"
     )
     assert "repro.core.ensemble" in set(edges("x", tree))
+
+
+def used_names(path: pathlib.Path) -> Set[str]:
+    """Every name ``path`` reads, looks up as an attribute or imports."""
+    names = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+# Callers satisfy a typing.Protocol structurally and never name it.
+STRUCTURAL = {"Estimator"}
+
+
+def test_every_public_nn_and_serve_name_is_used():
+    users = [module_paths()[m] for m in sorted(reached())
+             if not is_package(m)]
+    used = set().union(*map(used_names, users + list(entry_scripts())))
+    public = set(repro.nn.__all__) | set(repro.serve.__all__)
+    unused = sorted(public - used - STRUCTURAL)
+    assert not unused, (
+        "public repro.nn / repro.serve names no reachable module uses: "
+        f"{unused}"
+    )
