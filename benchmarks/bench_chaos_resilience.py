@@ -16,6 +16,5 @@ def test_chaos_resilience(benchmark, bench_scale, write_result):
     assert result["unhandled"] == 0
     assert result["finite_fraction"] == 1.0
     assert result["identical_at_zero"]
-    # Faults actually fired: some predictions were degraded or retried.
-    chaos = result["chaos"]
-    assert chaos["degraded_fraction"] > 0.0 or chaos["retries"] > 0
+    # Faults actually fired: some predictions came from the fallback.
+    assert result["degraded_fraction"] > 0.0

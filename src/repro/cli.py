@@ -266,9 +266,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"predictions escaped the serving path")
     if resilient is not None:
         degraded = dace.metrics.counter("resilience.degraded").value
-        retries = dace.metrics.counter("resilience.retries").value
-        print(f"resilience: breaker={resilient.breaker.state} "
-              f"retries={retries} degraded={degraded} "
+        print(f"resilience: degraded={degraded} "
               f"({resilient.degraded_fraction:.1%} of predictions)")
         if args.chaos is not None:
             chaos = resilient.estimator
@@ -372,8 +370,9 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
                   f"predictions escaped the serving path")
     if args.resilient or args.chaos is not None:
         degraded = dace.metrics.counter("resilience.degraded").value
-        retries = dace.metrics.counter("resilience.retries").value
-        print(f"resilience: retries={retries} degraded={degraded} "
+        total = dace.metrics.counter("resilience.predictions").value
+        print(f"resilience: degraded={degraded} "
+              f"({degraded / total if total else 0.0:.1%} of predictions) "
               f"shed={shed_total}")
     if args.metrics:
         report = _METRIC_EXPORTERS[args.metrics_format](dace.metrics)
@@ -670,8 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos-seed", type=int, default=0,
                        help="seed for the chaos fault schedule")
     serve.add_argument("--resilient", action="store_true",
-                       help="wrap serving in the retry/breaker/fallback "
-                            "tier even without --chaos")
+                       help="answer failed or non-finite predictions "
+                            "from the optimizer-cost fallback, flagged, "
+                            "even without --chaos")
     serve.add_argument("--no-fused", action="store_true",
                        help="pin cache-miss forwards to the per-layer "
                             "Module.infer path instead of the fused "

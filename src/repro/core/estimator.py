@@ -134,9 +134,9 @@ class DACE:
             ConcurrentEstimatorService(self.service, workers=workers)
             if workers is not None else None
         )
-        # With resilient=True every predict* call goes through the
-        # degradation tiers (retry -> breaker -> optimizer-cost fallback)
-        # instead of propagating serving-path exceptions to the caller.
+        # With resilient=True every predict* call goes through the fault
+        # boundary: a failed or non-finite prediction is answered by the
+        # optimizer-cost fallback instead of reaching the caller.
         self._resilient = resilient
         if self.fleet is not None:
             self.estimator = self.fleet
@@ -178,18 +178,20 @@ class DACE:
         """Predicted latency (ms) for every sub-plan, in DFS order."""
         return self.service.predict_subplans(plan)
 
-    def resilient(self, **kwargs) -> ResilientEstimator:
+    def resilient(self) -> ResilientEstimator:
         """A fault-tolerant view of this estimator's serving path.
 
         The fallback tier reuses the encoder's fitted robust scaler so a
         degraded answer (the optimizer's own cost estimate) lands in the
         same log-latency space the model predicts in; metrics land on
-        ``self.metrics`` unless overridden.
+        ``self.metrics``.
         """
-        kwargs.setdefault("fallback", CostFallback(self.encoder.scaler))
-        kwargs.setdefault("metrics", self.metrics)
         base = self.pool if self.pool is not None else self.service
-        return ResilientEstimator(base, **kwargs)
+        return ResilientEstimator(
+            base,
+            fallback=CostFallback(self.encoder.scaler),
+            metrics=self.metrics,
+        )
 
     # ------------------------------------------------------------------ #
     # Multi-tenant fleet (shards=N)

@@ -14,10 +14,11 @@ Everything downstream of a trained model goes through this package:
 - :class:`~repro.serve.concurrent.ConcurrentEstimatorService` — a
   thread-pool front-end that coalesces *concurrent* traffic into batched
   forwards (leader/followers drain), byte-identical to the serial path;
-- :class:`~repro.serve.resilience.ResilientEstimator` — deadlines,
-  bounded retries with deterministic jitter, a circuit breaker, and a
-  final optimizer-cost degradation tier (:class:`~repro.serve.resilience.
-  CostFallback`) so serving never raises;
+- :class:`~repro.serve.resilience.ResilientEstimator` — one fault
+  boundary: calls the wrapped estimator once and answers each failed or
+  non-finite prediction from the optimizer-cost fallback
+  (:class:`~repro.serve.resilience.CostFallback`), flagged, so serving
+  never raises;
 - :class:`~repro.serve.chaos.ChaosEstimator` — seeded fault injection
   (errors, NaN outputs, latency spikes) for chaos testing and the
   ``serve --chaos`` replay mode;
@@ -46,15 +47,7 @@ from repro.serve.fleet import (
 )
 from repro.serve.fused import FusedInferStep, maybe_fused_infer
 from repro.serve.registry import ModelRegistry
-from repro.serve.resilience import (
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-    CircuitBreaker,
-    CostFallback,
-    PredictionError,
-    ResilientEstimator,
-)
+from repro.serve.resilience import CostFallback, ResilientEstimator
 from repro.serve.service import EstimatorService
 
 __all__ = [
@@ -71,13 +64,8 @@ __all__ = [
     "ModelRegistry",
     "LRUCache",
     "CacheStats",
-    "CircuitBreaker",
     "CostFallback",
-    "PredictionError",
     "ResilientEstimator",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
     "ChaosConfig",
     "ChaosEstimator",
     "InjectedFault",

@@ -223,7 +223,7 @@ class ConcurrentEstimatorService:
         self._catch = CatchMemo().catch
         # MRO probe, not hasattr: a delegating wrapper would pass
         # hasattr while handing back the inner service's bound method,
-        # silently bypassing its retry/breaker/chaos tiers.  Wrappers
+        # silently bypassing its fallback or chaos tier.  Wrappers
         # that genuinely support the caught path (ResilientEstimator,
         # ChaosEstimator) define predict_caught on their class.
         self._can_serve_caught = _defined_on_class(service, "predict_caught")

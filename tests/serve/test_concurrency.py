@@ -379,9 +379,7 @@ class TestPoolComposition:
         # probe reached service.predict_caught directly and answered
         # healthily with zero injected faults.
         chaos = ChaosEstimator(service, ChaosConfig(error_rate=1.0, seed=3))
-        resilient = ResilientEstimator(
-            chaos, metrics=MetricsRegistry(), sleep=lambda _s: None
-        )
+        resilient = ResilientEstimator(chaos, metrics=MetricsRegistry())
         sample = plans[:6]
         expected = CostFallback().predict_plans(sample)
         with ConcurrentEstimatorService(resilient, workers=2) as pool:

@@ -49,11 +49,10 @@ def service():
     return service
 
 
-def _resilient(inner, **kwargs):
-    kwargs.setdefault("fallback", CostFallback())
-    kwargs.setdefault("metrics", MetricsRegistry())
-    kwargs.setdefault("sleep", lambda _s: None)
-    return ResilientEstimator(inner, **kwargs)
+def _resilient(inner):
+    return ResilientEstimator(
+        inner, fallback=CostFallback(), metrics=MetricsRegistry()
+    )
 
 
 class TestResilientOverFused:
@@ -91,15 +90,27 @@ class TestResilientOverFused:
         assert service.metrics.counter("serve.fused.forwards").value == 0
 
     def test_nan_faults_detected_after_fused_forward(self, service):
-        """nan_rate=1.0 corrupts the fused output downstream: resilience
-        must catch it, and the service cache must stay unpoisoned."""
+        """nan_rate=1.0 corrupts one entry of the fused output downstream:
+        resilience must catch it, its batch-mates must keep their fused
+        values, and the service cache must stay unpoisoned."""
         chaos = ChaosEstimator(
             service, ChaosConfig(nan_rate=1.0), sleep=lambda _s: None
         )
         resilient = _resilient(chaos)
         values = resilient.predict_plans(PLANS)
         assert np.all(np.isfinite(values))
-        assert resilient.last_degraded.all()
+        degraded = resilient.last_degraded
+        assert degraded.sum() == 1
+        np.testing.assert_array_equal(
+            values[degraded], CostFallback().predict_plans(
+                [plan for plan, bad in zip(PLANS, degraded) if bad]
+            )
+        )
+        np.testing.assert_array_equal(
+            values[~degraded],
+            EstimatorService(service.model, service.encoder)
+            .predict_plans(PLANS)[~degraded],
+        )
         # The fused forward DID run (corruption happens on its output)...
         assert service.metrics.counter("serve.fused.forwards").value > 0
         # ...and the cache holds the pre-corruption values: a direct call

@@ -69,7 +69,6 @@ class TestGoldenServe:
             ),
             fallback=CostFallback(dace.encoder.scaler),
             metrics=MetricsRegistry(),
-            sleep=lambda _s: None,
         )
         np.testing.assert_array_equal(
             resilient.predict_plans(plans), predictions

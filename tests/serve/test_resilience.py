@@ -1,5 +1,8 @@
-"""ResilientEstimator: retry, breaker, degradation tiers — and the
-chaos acceptance contract (30% faults, zero exceptions, finite output)."""
+"""ResilientEstimator: one fault boundary, then the optimizer-cost
+fallback — and the chaos acceptance contract (30% faults, zero
+exceptions, finite output)."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -9,35 +12,13 @@ from repro.engine.plan import PlanNode
 from repro.featurize import PlanEncoder, catch_plan
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
     ChaosEstimator,
-    CircuitBreaker,
     ConcurrentEstimatorService,
     CostFallback,
     Estimator,
     EstimatorService,
     ResilientEstimator,
 )
-
-
-class ManualClock:
-    """Deterministic time source; ``sleep`` advances it."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.sleeps = []
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
 
 
 class StubEstimator:
@@ -70,107 +51,13 @@ def _plan(cost: float = 5.0) -> PlanNode:
     return PlanNode("Seq Scan", est_rows=10.0, est_cost=cost)
 
 
+def _no_sleep(_seconds: float) -> None:
+    pass
+
+
 def _resilient(inner, **kwargs) -> ResilientEstimator:
-    clock = kwargs.pop("clock", ManualClock())
     kwargs.setdefault("metrics", MetricsRegistry())
-    return ResilientEstimator(
-        inner, clock=clock, sleep=clock.sleep, **kwargs
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Circuit breaker state machine
-# ---------------------------------------------------------------------- #
-class TestCircuitBreaker:
-    def _breaker(self, **kwargs) -> CircuitBreaker:
-        clock = kwargs.pop("clock", ManualClock())
-        breaker = CircuitBreaker(clock=clock, **kwargs)
-        breaker._test_clock = clock  # keep the handle for the test
-        return breaker
-
-    def test_opens_at_failure_threshold(self):
-        breaker = self._breaker(
-            failure_threshold=0.5, window=10, min_calls=4
-        )
-        assert breaker.state == STATE_CLOSED
-        for _ in range(2):
-            breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == STATE_CLOSED     # 1/3 < 0.5, under min_calls
-        breaker.record_failure()                 # 2/4 = threshold at min_calls
-        assert breaker.state == STATE_OPEN
-        assert breaker.failure_rate == pytest.approx(0.5)
-
-    def test_stays_closed_under_min_calls(self):
-        breaker = self._breaker(failure_threshold=0.5, min_calls=5)
-        for _ in range(4):
-            breaker.record_failure()             # rate 1.0 but only 4 calls
-        assert breaker.state == STATE_CLOSED
-        assert breaker.allow()
-
-    def test_opens_and_blocks(self):
-        breaker = self._breaker(min_calls=2, reset_timeout_s=10.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == STATE_OPEN
-        assert not breaker.allow()
-
-    def test_half_open_probe_after_timeout(self):
-        breaker = self._breaker(min_calls=2, reset_timeout_s=10.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock = breaker._test_clock
-        clock.advance(9.0)
-        assert not breaker.allow()
-        clock.advance(1.5)
-        assert breaker.allow()                   # probe admitted
-        assert breaker.state == STATE_HALF_OPEN
-
-    def test_half_open_success_closes(self):
-        breaker = self._breaker(min_calls=2, reset_timeout_s=1.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker._test_clock.advance(2.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == STATE_CLOSED
-        assert breaker.failure_rate == 0.0       # history cleared
-
-    def test_half_open_failure_reopens(self):
-        breaker = self._breaker(min_calls=2, reset_timeout_s=1.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker._test_clock.advance(2.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == STATE_OPEN
-        assert not breaker.allow()               # timer re-armed
-
-    def test_transition_metrics(self):
-        metrics = MetricsRegistry()
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            min_calls=2, reset_timeout_s=1.0, clock=clock, metrics=metrics
-        )
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(2.0)
-        breaker.allow()
-        breaker.record_success()
-        assert metrics.counter("resilience.breaker.opened").value == 1
-        assert metrics.counter("resilience.breaker.half_opened").value == 1
-        assert metrics.counter("resilience.breaker.closed").value == 1
-        assert metrics.gauge("resilience.breaker.state").value == 0.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(window=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(min_calls=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout_s=-1.0)
+    return ResilientEstimator(inner, **kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -195,12 +82,26 @@ class TestCostFallback:
         )
         assert fallback.predict_plan(plan) == pytest.approx(float(expected))
 
-    def test_always_finite_and_positive(self):
-        fallback = CostFallback()
-        costs = [0.0, 1.0, 1e12, 1e300]
-        values = fallback.predict_plans([_plan(c) for c in costs])
-        assert np.all(np.isfinite(values))
-        assert np.all(values > 0)
+    def test_always_finite_and_positive(self, train_datasets):
+        plans = [s.plan for s in train_datasets[0]]
+        encoder = PlanEncoder().fit([catch_plan(p) for p in plans])
+        costs = [0.0, 1.0, 1e12, 1e300, -5.0, np.nan, np.inf, -np.inf]
+        plans = [_plan() for _ in costs]
+        for plan, cost in zip(plans, costs):
+            plan.est_cost = cost   # PlanNode rejects negatives at build
+        for fallback in (CostFallback(), CostFallback(encoder.scaler)):
+            for values in (
+                fallback.predict_plans(plans),
+                fallback.predict_caught([catch_plan(p) for p in plans]),
+            ):
+                assert np.all(np.isfinite(values))
+                assert np.all(values > 0)
+            # A negative or NaN cost carries no cost signal: it answers
+            # like a zero cost.
+            np.testing.assert_array_equal(
+                fallback.predict_plans(plans[4:6]),
+                fallback.predict_plans([plans[0], plans[0]]),
+            )
 
     def test_dataset_protocol(self, train_datasets):
         fallback = CostFallback()
@@ -233,144 +134,71 @@ class TestResilientEstimator:
         assert not resilient.last_degraded.any()
         assert resilient.degraded_fraction == 0.0
 
-    def test_retry_recovers_transient_failure(self):
+    def test_failure_is_not_retried(self):
         inner = FailingEstimator(failures=1)
-        resilient = _resilient(inner, max_retries=2)
-        value = resilient.predict_plan(_plan())
-        assert value == 7.0
-        assert inner.calls == 2
-        assert not resilient.last_degraded.any()
-        assert resilient.metrics.counter("resilience.retries").value == 1
-        assert resilient.metrics.counter("resilience.failures").value == 1
-        assert (
-            resilient.metrics.histogram(
-                "resilience.retry_latency_seconds"
-            ).count == 1
-        )
+        resilient = _resilient(inner)
+        plan = _plan()
+        value = resilient.predict_plan(plan)
+        assert inner.calls == 1
+        assert value == CostFallback().predict_plan(plan)
+        assert resilient.last_degraded.all()
+        assert resilient.metrics.counter("resilience.degraded").value == 1
 
-    def test_exhausted_retries_degrade(self):
+    def test_raise_degrades_whole_batch(self):
         inner = FailingEstimator(failures=100)
-        resilient = _resilient(inner, max_retries=2)
+        resilient = _resilient(inner)
         plans = [_plan(4.0), _plan(9.0)]
         values = resilient.predict_plans(plans)
-        assert inner.calls == 3                    # 1 try + 2 retries
-        np.testing.assert_allclose(
+        assert inner.calls == 1
+        np.testing.assert_array_equal(
             values, CostFallback().predict_plans(plans)
         )
         assert resilient.last_degraded.all()
         assert resilient.metrics.counter("resilience.degraded").value == 2
 
-    def test_backoff_is_exponential_with_deterministic_jitter(self):
-        clock = ManualClock()
-        inner = FailingEstimator(failures=100)
-        resilient = _resilient(
-            inner, clock=clock, max_retries=3,
-            backoff_s=0.1, backoff_multiplier=2.0, jitter=0.5, seed=42,
-        )
-        resilient.predict_plan(_plan())
-        expected_jitter = np.random.default_rng(42).random(3)
-        expected = [
-            0.1 * 2.0 ** i * (1.0 + 0.5 * expected_jitter[i])
-            for i in range(3)
-        ]
-        np.testing.assert_allclose(clock.sleeps, expected)
-
-    def test_same_seed_same_backoff_schedule(self):
-        schedules = []
-        for _ in range(2):
-            clock = ManualClock()
-            resilient = _resilient(
-                FailingEstimator(failures=100), clock=clock,
-                max_retries=3, jitter=0.3, seed=9,
-            )
-            resilient.predict_plan(_plan())
-            schedules.append(list(clock.sleeps))
-        assert schedules[0] == schedules[1]
-
-    def test_deadline_cuts_retry_budget(self):
-        clock = ManualClock()
-        inner = FailingEstimator(failures=100)
-        resilient = _resilient(
-            inner, clock=clock, max_retries=10,
-            backoff_s=1.0, jitter=0.0, deadline_s=2.5,
-        )
-        value = resilient.predict_plan(_plan())
-        assert np.isfinite(value)
-        # backoffs 1, 2 fit in the 2.5 s deadline; 4 would not.
-        assert inner.calls < 4
-        assert resilient.last_degraded.all()
-        assert (
-            resilient.metrics.counter("resilience.deadline_exceeded").value
-            == 1
-        )
-
     def test_nan_output_is_a_failure(self):
-        class NaNOnce:
+        class NaNFirst:
             calls = 0
 
             def predict_plans(self, plans):
                 self.calls += 1
-                values = np.ones(len(plans))
-                if self.calls == 1:
-                    values[0] = np.nan
+                values = np.full(len(plans), 2.5)
+                values[0] = np.nan
                 return values
 
-        inner = NaNOnce()
-        resilient = _resilient(inner, max_retries=1)
-        values = resilient.predict_plans([_plan(), _plan(2.0)])
-        assert inner.calls == 2                    # NaN triggered a retry
-        np.testing.assert_array_equal(values, [1.0, 1.0])
-        assert resilient.metrics.counter("resilience.failures").value == 1
+        inner = NaNFirst()
+        resilient = _resilient(inner)
+        plans = [_plan(), _plan(2.0), _plan(3.0)]
+        values, flags = resilient.predict_plans_detailed(plans)
+        assert inner.calls == 1
+        # Only the NaN entry degrades; its batch-mates keep their values.
+        np.testing.assert_array_equal(flags, [True, False, False])
+        np.testing.assert_array_equal(
+            values, [CostFallback().predict_plan(plans[0]), 2.5, 2.5]
+        )
+        assert resilient.metrics.counter("resilience.degraded").value == 1
+        assert resilient.metrics.counter("resilience.predictions").value == 3
 
     def test_bad_shape_is_a_failure(self):
         class WrongShape:
             def predict_plans(self, plans):
                 return np.ones(len(plans) + 1)
 
-        resilient = _resilient(WrongShape(), max_retries=0)
+        resilient = _resilient(WrongShape())
         values = resilient.predict_plans([_plan()])
         assert resilient.last_degraded.all()
         assert np.isfinite(values).all()
 
-    def test_open_breaker_short_circuits(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            min_calls=2, reset_timeout_s=60.0, clock=clock
-        )
-        inner = FailingEstimator(failures=100)
-        resilient = _resilient(
-            inner, clock=clock, breaker=breaker, max_retries=0
-        )
-        resilient.predict_plan(_plan())
-        resilient.predict_plan(_plan())            # opens the breaker
-        assert breaker.state == STATE_OPEN
-        calls_before = inner.calls
-        value = resilient.predict_plan(_plan())    # short-circuited
-        assert np.isfinite(value)
-        assert inner.calls == calls_before
-        assert (
-            resilient.metrics.counter(
-                "resilience.breaker.short_circuits"
-            ).value == 1
-        )
-
-    def test_breaker_recovery_restores_learned_path(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            min_calls=2, reset_timeout_s=5.0, clock=clock
-        )
+    def test_failure_does_not_latch(self):
         inner = FailingEstimator(failures=2, value=3.5)
-        resilient = _resilient(
-            inner, clock=clock, breaker=breaker, max_retries=0
-        )
+        resilient = _resilient(inner)
         resilient.predict_plan(_plan())
         resilient.predict_plan(_plan())
-        assert breaker.state == STATE_OPEN
-        clock.advance(6.0)                         # past reset timeout
-        value = resilient.predict_plan(_plan())    # half-open probe wins
+        assert resilient.last_degraded.all()
+        value = resilient.predict_plan(_plan())    # next request is learned
         assert value == 3.5
-        assert breaker.state == STATE_CLOSED
         assert not resilient.last_degraded.any()
+        assert inner.calls == 3
 
     def test_empty_batch(self):
         resilient = _resilient(StubEstimator())
@@ -396,26 +224,26 @@ class TestResilientEstimator:
         np.testing.assert_array_equal(values, [2.0, 5.0])
         assert not resilient.last_degraded.any()
 
-    def test_predict_caught_exhausted_retries_degrade(self):
+    def test_predict_caught_failure_degrades(self):
         class FailingCaught(StubEstimator):
             def predict_caught(self, caught):
                 raise RuntimeError("backend down")
 
-        resilient = _resilient(FailingCaught(), max_retries=1)
+        resilient = _resilient(FailingCaught())
         plan = _plan(100.0)
         values = resilient.predict_caught([catch_plan(plan)])
         np.testing.assert_array_equal(
             values, CostFallback().predict_plans([plan])
         )
         assert resilient.last_degraded.all()
-        assert resilient.metrics.counter("resilience.failures").value == 2
+        assert resilient.metrics.counter("resilience.degraded").value == 1
 
     def test_predict_caught_missing_inner_method_degrades(self):
         # StubEstimator has no predict_caught: the learned-path attempt
         # fails with AttributeError and the fallback answers — the tier
         # of last resort also covers estimators that predate the caught
         # path.
-        resilient = _resilient(StubEstimator(), max_retries=0)
+        resilient = _resilient(StubEstimator())
         plan = _plan(9.0)
         values = resilient.predict_caught([catch_plan(plan)])
         np.testing.assert_array_equal(
@@ -432,22 +260,9 @@ class TestResilientEstimator:
             def predict_caught(self, caught):
                 raise RuntimeError("backend down")
 
-        resilient = _resilient(
-            FailingCaught(), max_retries=0, fallback=PlanOnlyFallback()
-        )
+        resilient = _resilient(FailingCaught(), fallback=PlanOnlyFallback())
         values = resilient.predict_caught([catch_plan(_plan(3.0))])
         np.testing.assert_array_equal(values, [6.0])
-
-    def test_parameter_validation(self):
-        stub = StubEstimator()
-        with pytest.raises(ValueError):
-            ResilientEstimator(stub, max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilientEstimator(stub, backoff_s=-0.1)
-        with pytest.raises(ValueError):
-            ResilientEstimator(stub, jitter=-0.5)
-        with pytest.raises(ValueError):
-            ResilientEstimator(stub, deadline_s=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -470,17 +285,13 @@ class TestChaosAcceptance:
         service = EstimatorService(model, encoder, batch_size=32)
         clean = service.predict_plans(plans)
 
-        clock = ManualClock()
         metrics = MetricsRegistry()
         resilient = ResilientEstimator(
             ChaosEstimator.with_fault_rate(
-                service, 0.3, seed=123, sleep=clock.sleep
+                service, 0.3, seed=123, sleep=_no_sleep
             ),
             fallback=CostFallback(encoder.scaler),
             metrics=metrics,
-            clock=clock,
-            sleep=clock.sleep,
-            seed=123,
         )
         values = np.empty(500)
         degraded = np.zeros(500, dtype=bool)
@@ -494,9 +305,8 @@ class TestChaosAcceptance:
         assert reported == int(degraded.sum())
         assert metrics.counter("resilience.predictions").value == 500
         assert 0.0 <= resilient.degraded_fraction <= 1.0
-        # Faults fired at 30%: something was retried or degraded.
-        assert (metrics.counter("resilience.retries").value > 0
-                or reported > 0)
+        # Faults fired at 30%: something was degraded.
+        assert reported > 0
         # Non-degraded predictions are exactly the clean-path values.
         np.testing.assert_array_equal(values[~degraded], clean[~degraded])
 
@@ -505,15 +315,12 @@ class TestChaosAcceptance:
         plans = [base_plans[i % len(base_plans)] for i in range(200)]
         service = EstimatorService(model, encoder, batch_size=32)
         clean = service.predict_plans(plans)
-        clock = ManualClock()
         resilient = ResilientEstimator(
             ChaosEstimator.with_fault_rate(
-                service, 0.0, seed=123, sleep=clock.sleep
+                service, 0.0, seed=123, sleep=_no_sleep
             ),
             fallback=CostFallback(encoder.scaler),
             metrics=MetricsRegistry(),
-            clock=clock,
-            sleep=clock.sleep,
         )
         wrapped = resilient.predict_plans(plans)
         np.testing.assert_array_equal(wrapped, clean)
@@ -525,15 +332,12 @@ class TestResilientUnderPool:
     def test_result_never_hangs_and_never_raises(self, service_setup):
         model, encoder, base_plans = service_setup
         service = EstimatorService(model, encoder, batch_size=32)
-        clock = ManualClock()
         resilient = ResilientEstimator(
             ChaosEstimator.with_fault_rate(
-                service, 0.5, seed=7, sleep=clock.sleep
+                service, 0.5, seed=7, sleep=_no_sleep
             ),
             fallback=CostFallback(encoder.scaler),
             metrics=MetricsRegistry(),
-            clock=clock,
-            sleep=clock.sleep,
         )
         with ConcurrentEstimatorService(
             resilient, workers=2, max_batch=8
@@ -551,7 +355,7 @@ class TestDACEResilient:
         dace = DACE(training=TrainingConfig(epochs=1, batch_size=32), seed=3)
         dace.fit(train_datasets[0])
         plans = [s.plan for s in train_datasets[0]][:10]
-        resilient = dace.resilient(sleep=lambda _s: None)
+        resilient = dace.resilient()
         np.testing.assert_array_equal(
             resilient.predict_plans(plans), dace.predict_plans(plans)
         )
@@ -576,3 +380,61 @@ class TestDACEResilient:
         loaded = DACE.load(path)
         assert isinstance(loaded.estimator, RE)
         np.testing.assert_array_equal(loaded.predict_plans(plans), before)
+
+
+class TestMalformedPlan:
+    """One plan with a NaN or inf estimate in an otherwise healthy batch
+    degrades that plan only: its batch-mates keep their learned values
+    bit for bit, and the next all-healthy batch is fully learned."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, train_datasets):
+        from repro.core import DACE, TrainingConfig
+
+        dace = DACE(
+            training=TrainingConfig(epochs=1, batch_size=32),
+            seed=3, resilient=True,
+        )
+        dace.fit(train_datasets[0])
+        return dace
+
+    @pytest.mark.parametrize("field,value", [
+        ("est_rows", np.nan), ("est_rows", np.inf),
+        ("est_cost", np.nan), ("est_cost", np.inf),
+    ])
+    def test_only_the_bad_plan_degrades(self, fitted, train_datasets,
+                                        field, value):
+        healthy = [s.plan for s in train_datasets[0]][:7]
+        malformed = copy.deepcopy(healthy[0])
+        setattr(malformed, field, value)
+        bad = 3
+        batch = healthy[:bad] + [malformed] + healthy[bad:]
+        bare = EstimatorService(fitted.model, fitted.encoder, batch_size=32)
+        expected = bare.predict_plans(healthy)
+        fallback = CostFallback(fitted.encoder.scaler)
+
+        resilient = ResilientEstimator(
+            EstimatorService(fitted.model, fitted.encoder, batch_size=32),
+            fallback=fallback,
+        )
+        with ConcurrentEstimatorService(resilient, workers=2) as pool:
+            pooled = pool.predict_plans(batch)
+            pooled_after = pool.predict_plans(healthy)
+        assert resilient.metrics.counter("resilience.degraded").value == 1
+        assert not resilient.last_degraded.any()
+
+        stack = fitted.estimator
+        assert isinstance(stack, ResilientEstimator)
+        values, flags = stack.predict_plans_detailed(batch)
+        np.testing.assert_array_equal(flags, np.arange(8) == bad)
+        values_after, flags_after = stack.predict_plans_detailed(healthy)
+        assert not flags_after.any()
+
+        for answer, after in ((values, values_after),
+                              (pooled, pooled_after)):
+            assert np.all(np.isfinite(answer))
+            np.testing.assert_array_equal(
+                np.delete(answer, bad), expected
+            )
+            assert answer[bad] == fallback.predict_plan(batch[bad])
+            np.testing.assert_array_equal(after, expected)

@@ -161,14 +161,14 @@ class TestCLI:
                      "fleet.wait_seconds"):
             assert name in dump
 
-        # Sharded + chaos routes through the resilience tiers.
+        # Sharded + chaos routes through the resilience boundary.
         assert main([
             "serve", "--model", model_dir, "--workload", workload,
             "--shards", "2", "--chaos", "1.0", "--chaos-seed", "7",
         ]) == 0
         out = capsys.readouterr().out
         assert "fleet: shards=2" in out
-        assert "resilience:" in out
+        assert "resilience: degraded=" in out
         assert "WARNING" not in out
 
         # A shard has no worker pool: asking for one is refused.
@@ -190,13 +190,12 @@ class TestCLI:
             "--resilient",
         ]) == 0
         out = capsys.readouterr().out
-        assert "resilience: breaker=closed" in out
-        assert "degraded=0" in out
+        assert "resilience: degraded=0 (0.0% of predictions)" in out
 
         # Total-fault chaos replay: every call faults, yet the replay
         # finishes cleanly and nothing non-finite escapes.  (Latency
-        # faults still answer, so retries may succeed: the contract is
-        # zero raises and zero NaNs, not all-degraded.)
+        # faults still answer: the contract is zero raises and zero
+        # NaNs, not all-degraded.)
         assert main([
             "serve", "--model", model_dir, "--workload", workload,
             "--chaos", "1.0", "--chaos-seed", "7",
@@ -205,7 +204,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert_serial_batches(out, 8)
         assert "chaos: fault_rate=100%" in out
-        assert "resilience: breaker=" in out
+        assert "resilience: degraded=" in out
+        assert "of predictions)" in out
         assert "injected=" in out
         assert "WARNING" not in out
 

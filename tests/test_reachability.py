@@ -11,14 +11,16 @@ statements are not edges.  A module nothing reaches is code no
 experiment runs, and should be deleted together with its tests.
 
 The same holds one level down for the public names of ``repro.nn`` and
-``repro.serve``: each must be named by a reachable module, or by one of
-the entry scripts, other than a package ``__init__``.
+``repro.serve`` (each package's ``__all__`` and each of its modules'):
+each must be named by a reachable module, or by one of the entry
+scripts, other than a package ``__init__``.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import importlib
 import pathlib
 from typing import Dict, Iterator, Optional, Set
 
@@ -164,7 +166,7 @@ def used_names(path: pathlib.Path) -> Set[str]:
     """Every name ``path`` reads, looks up as an attribute or imports."""
     names = set()
     for node in ast.walk(parse(path)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -177,11 +179,21 @@ def used_names(path: pathlib.Path) -> Set[str]:
 STRUCTURAL = {"Estimator"}
 
 
+def public_names(package) -> Set[str]:
+    """``package.__all__`` plus the ``__all__`` of each of its modules."""
+    names = set(package.__all__)
+    for name in module_paths():
+        if name.startswith(package.__name__ + "."):
+            module = importlib.import_module(name)
+            names.update(getattr(module, "__all__", ()))
+    return names
+
+
 def test_every_public_nn_and_serve_name_is_used():
     users = [module_paths()[m] for m in sorted(reached())
              if not is_package(m)]
     used = set().union(*map(used_names, users + list(entry_scripts())))
-    public = set(repro.nn.__all__) | set(repro.serve.__all__)
+    public = public_names(repro.nn) | public_names(repro.serve)
     unused = sorted(public - used - STRUCTURAL)
     assert not unused, (
         "public repro.nn / repro.serve names no reachable module uses: "
