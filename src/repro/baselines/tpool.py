@@ -136,19 +136,5 @@ class TPoolModel(CostEstimatorBase):
                 out[start:start + len(chunk)] = roots.data
         return np.exp(out)
 
-    def predict_cardinality(self, test: PlanDataset) -> np.ndarray:
-        """Multi-task side output: predicted root result cardinality."""
-        plans = [catch_plan(s.plan) for s in test]
-        out = np.empty(len(plans))
-        with no_grad():
-            for start in range(0, len(plans), self.batch_size):
-                chunk = plans[start:start + self.batch_size]
-                batch = build_tree_levels(chunk, self.encoder, with_labels=False)
-                _, card_preds, _ = self.net(batch)
-                out[start:start + len(chunk)] = (
-                    card_preds[-1][batch.root_order].data
-                )
-        return np.expm1(np.maximum(out, 0.0))
-
     def num_parameters(self) -> int:
         return self.net.num_parameters()

@@ -10,7 +10,8 @@ layer promises:
 - at fault rate 0.0 the wrapped path is **bit-identical** to the bare
   ``EstimatorService``.
 
-``benchmarks/bench_chaos_resilience.py`` runs this in CI at 10% faults.
+CI runs this cell at its default 10% faults and gates it with
+``repro exp check chaos``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,17 @@ def _replay(resilient: ResilientEstimator, plans) -> tuple:
     return np.asarray(values, dtype=np.float64), unhandled
 
 
-@cell("chaos")
+# With faults injected the replay finishes with zero unhandled exceptions
+# and only finite predictions, the wrapper is bit-transparent at 0%
+# faults, and faults actually fired: some predictions came from the
+# fallback (a 0% cell has none to fire).
+@cell("chaos", checks={
+    "unhandled": lambda r, c: r["unhandled"] == 0,
+    "finite_fraction": lambda r, c: r["finite_fraction"] == 1.0,
+    "identical_at_zero": lambda r, c: r["identical_at_zero"],
+    "degraded_fraction": lambda r, c: (r["degraded_fraction"] > 0.0
+                                       or r["fault_rate"] == 0.0),
+})
 def chaos_resilience(scale: BenchScale = DEFAULT,
                      fault_rate: float = 0.1,
                      n_plans: int = 500) -> dict:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from repro.catalog.zoo import ZOO_DATABASE_NAMES
 
@@ -107,8 +107,8 @@ PAPER = BenchScale(
     cold_start_counts=(100, 1_000, 10_000, 100_000),
 )
 
-#: The one name→preset mapping; the CLI, the benchmarks conftest, and the
-#: experiment matrix all resolve scale names through here.
+#: The one name→preset mapping; the CLI and the experiment matrix both
+#: resolve scale names through here.
 SCALES = {"smoke": SMOKE, "default": DEFAULT, "paper": PAPER}
 
 
@@ -126,3 +126,18 @@ def resolve_scale(name: str) -> BenchScale:
             f"unknown bench scale {name!r}; valid scales: "
             f"{', '.join(sorted(SCALES))}"
         ) from None
+
+
+def remeasure_below(run: Callable[[], dict], key: str, bound: float) -> dict:
+    """``run()``, and once more if ``result[key]`` is under ``bound``.
+
+    Wall-clock on a shared box can land one bad measurement session, so
+    a timing gate re-measures once before declaring its contract broken
+    and keeps the better of the two results.
+    """
+    result = run()
+    if result[key] < bound:
+        retry = run()
+        if retry[key] > result[key]:
+            result = retry
+    return result

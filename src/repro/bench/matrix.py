@@ -8,9 +8,11 @@ stored cell files stay byte-identical (modulo the two timing fields,
 ``wall_seconds`` and ``created_unix``, which record *when/how long*, not
 *what*).
 
-``benchmarks/bench_exp_matrix.py`` runs this in CI; the ≥2x speedup
-gate only arms on machines with at least 4 CPUs (a single-core box
-cannot demonstrate parallelism — it still checks identity).
+CI runs this cell and gates it with ``repro exp check exp_matrix``; the
+≥2x speedup gate only arms on machines with at least 4 CPUs (a
+single-core box cannot demonstrate parallelism — it still checks
+identity).  The measured number is always recorded, with a ``gated``
+field saying whether it was enforced.
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.cache import clear_caches
-from repro.bench.config import DEFAULT, BenchScale
+from repro.bench.config import DEFAULT, BenchScale, remeasure_below
 from repro.experiments.registry import cell
 from repro.metrics.tables import format_table
 
 #: Fields of a stored cell file that legitimately differ between two
 #: runs of the same config: they record when and how long, not what.
 TIMING_FIELDS = ("wall_seconds", "created_unix")
+
+#: Process fan-out must beat serial by this much, on >= MIN_CPUS CPUs.
+MIN_SPEEDUP = 2.0
+MIN_CPUS = 4
 
 
 def _normalized_cells(cells_dir: str) -> Dict[str, str]:
@@ -73,7 +79,15 @@ def _run_backend(
             os.environ[CACHE_DIR_ENV] = saved
 
 
-@cell("exp_matrix")
+# Parallelism must be free: both backends store the same cells, byte
+# for byte, and neither drops a cell.
+@cell("exp_matrix", checks={
+    "serial_failed": lambda r, c: r["serial_failed"] == 0,
+    "process_failed": lambda r, c: r["process_failed"] == 0,
+    "identical": lambda r, c: r["identical"],
+    "speedup": lambda r, c: (r["cpu_count"] < MIN_CPUS
+                             or r["speedup"] >= MIN_SPEEDUP),
+})
 def exp_matrix(
     scale: BenchScale = DEFAULT,
     n_cells: int = 4,
@@ -83,6 +97,21 @@ def exp_matrix(
     seed_base: int = 1000,
 ) -> dict:
     """Process-pool vs serial run of a cache-unfriendly chaos matrix.
+
+    Where the speedup gate is armed, a run under it is re-measured once.
+    """
+    gated = (os.cpu_count() or 1) >= MIN_CPUS
+    run = lambda: _exp_matrix_once(
+        scale, n_cells, workers, n_plans, fault_rate, seed_base
+    )
+    result = remeasure_below(run, "speedup", MIN_SPEEDUP) if gated else run()
+    return dict(result, min_speedup=MIN_SPEEDUP, gated=gated)
+
+
+def _exp_matrix_once(scale: BenchScale, n_cells: int, workers: int,
+                     n_plans: int, fault_rate: float,
+                     seed_base: int) -> dict:
+    """One process-pool vs serial measurement.
 
     Each of the ``n_cells`` cells pins a distinct ``seed`` (a
     ``BenchScale`` field), so every cell regenerates workloads and

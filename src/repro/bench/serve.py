@@ -28,7 +28,7 @@ from typing import List
 import numpy as np
 
 from repro.bench.cache import get_workload1, pretrain_dace
-from repro.bench.config import DEFAULT, BenchScale
+from repro.bench.config import DEFAULT, BenchScale, remeasure_below
 from repro.experiments.registry import cell
 from repro.featurize.catcher import catch_plan
 from repro.metrics.tables import format_table
@@ -36,6 +36,15 @@ from repro.nn import no_grad
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.serve import ConcurrentEstimatorService, EstimatorService
 from repro.serve.service import PAD_BASE
+
+#: Warm-cache serving must be at least this much faster than per-plan.
+MIN_CACHED_SPEEDUP = 5.0
+#: Bucketed fused batches must at least halve per-plan cache-miss latency.
+MIN_FUSED_SPEEDUP = 2.0
+#: 8 closed-loop clients must reach this multiple of 1 client on misses.
+MIN_MISS_SPEEDUP = 2.0
+#: A live MetricsRegistry may cost at most this over NULL_REGISTRY.
+MAX_OBS_OVERHEAD = 0.05
 
 
 def _legacy_predict_plan(model, encoder, plan) -> float:
@@ -46,7 +55,13 @@ def _legacy_predict_plan(model, encoder, plan) -> float:
     return float(pred.data[0, 0])
 
 
-@cell("serving")
+# Warm-cache (and batched) serving is at least 5x the naive per-plan
+# loop on a ~1k-plan workload.
+@cell("serving", checks={
+    "cached_speedup": lambda r, c: r["cached_speedup"] >= MIN_CACHED_SPEEDUP,
+    "batched_speedup": lambda r, c: r["batched_speedup"] >= 1.0,
+    "cache_hit_rate": lambda r, c: r["cache_hit_rate"] == 1.0,
+})
 def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     """Plans/sec of the serving paths over a repeated-plan workload."""
     dace = pretrain_dace(scale, exclude="imdb")
@@ -123,9 +138,29 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     }
 
 
-@cell("fusedserve")
+# Byte-identity is non-negotiable (fused == per-layer == per-plan), and
+# bucketed fused batches (>= 32) must at least halve the cache-miss
+# per-plan latency of plan-at-a-time Module.infer serving.
+@cell("fusedserve", checks={
+    "bit_identical": lambda r, c: r["bit_identical"],
+    "kernel_bit_identical": lambda r, c: r["kernel_bit_identical"],
+    "batch_size": lambda r, c: r["batch_size"] >= 32,
+    "fused_speedup": lambda r, c: r["fused_speedup"] >= MIN_FUSED_SPEEDUP,
+})
 def serve_fused(scale: BenchScale = DEFAULT) -> dict:
     """Fused bucket forwards vs plan-at-a-time ``Module.infer`` serving.
+
+    A run under the speedup gate is re-measured once; see
+    :func:`_serve_fused_once` for the protocol.
+    """
+    result = remeasure_below(
+        lambda: _serve_fused_once(scale), "fused_speedup", MIN_FUSED_SPEEDUP
+    )
+    return dict(result, min_fused_speedup=MIN_FUSED_SPEEDUP)
+
+
+def _serve_fused_once(scale: BenchScale) -> dict:
+    """One measurement of the three cache-miss serving paths.
 
     Three cache-miss paths over one workload of fingerprint-unique plans
     (uniqueness keeps in-call dedup from shrinking one side's work):
@@ -143,8 +178,7 @@ def serve_fused(scale: BenchScale = DEFAULT) -> dict:
     ``model.infer`` on one padded bucket.  The headline ratio uses the
     same interleaved-pairs protocol as :func:`serve_concurrency`
     (machine-wide drift hits both sides of a pair and cancels); the
-    acceptance gate in ``benchmarks/bench_serve_throughput.py`` holds it
-    at >= 2x for batches >= 32.
+    cell's ``fused_speedup`` check holds it at >= 2x for batches >= 32.
     """
     import gc
     import statistics
@@ -258,9 +292,30 @@ def serve_fused(scale: BenchScale = DEFAULT) -> dict:
     }
 
 
-@cell("concurrency")
+# Coalesced batches must answer byte for byte what the serial path
+# answers; dynamic batching must turn 8-way contention into >= 2x the
+# single-client pool's cache-miss throughput; and the warm-cache path
+# must not regress under concurrency.
+@cell("concurrency", checks={
+    "all_bit_identical": lambda r, c: r["all_bit_identical"],
+    "miss_speedup_8": lambda r, c: r["miss_speedup_8"] >= MIN_MISS_SPEEDUP,
+    "hit_speedup_8": lambda r, c: r["hit_speedup_8"] >= 1.0,
+})
 def serve_concurrency(scale: BenchScale = DEFAULT) -> dict:
     """Closed-loop concurrent throughput through the worker-pool front-end.
+
+    A run under the miss-speedup gate is re-measured once; see
+    :func:`_serve_concurrency_once` for the protocol.
+    """
+    result = remeasure_below(
+        lambda: _serve_concurrency_once(scale), "miss_speedup_8",
+        MIN_MISS_SPEEDUP,
+    )
+    return dict(result, min_miss_speedup=MIN_MISS_SPEEDUP)
+
+
+def _serve_concurrency_once(scale: BenchScale) -> dict:
+    """One measurement of the worker pool under closed-loop clients.
 
     For each worker count, that many closed-loop clients hammer a
     :class:`~repro.serve.ConcurrentEstimatorService` with single-plan
@@ -430,7 +485,9 @@ def serve_concurrency(scale: BenchScale = DEFAULT) -> dict:
     }
 
 
-@cell("obsoverhead")
+@cell("obsoverhead", checks={
+    "overhead": lambda r, c: r["overhead"] <= MAX_OBS_OVERHEAD,
+})
 def obs_overhead(scale: BenchScale = DEFAULT) -> dict:
     """Instrumentation cost on the warm-cache serving path.
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.bench.config import DEFAULT, BenchScale
+from repro.bench.config import DEFAULT, BenchScale, remeasure_below
 from repro.experiments.registry import cell
 from repro.catalog.zoo import load_database
 from repro.core.model import DACEConfig, DACEModel
@@ -51,6 +51,11 @@ from repro.sql.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.dataset import PlanDataset, collect_workload
 
 _BATCH_SIZE = 64
+
+#: The pre-encoded pipeline must reach this multiple of the seed loop's
+#: epochs/second, from the default scale up: the smoke workload pads too
+#: coarsely for the per-epoch cost ratio to be representative.
+MIN_SPEEDUP = 3.0
 
 _WORKLOAD: Dict[Tuple, PlanDataset] = {}
 
@@ -263,9 +268,27 @@ def lora_control(
     }
 
 
-@cell("train")
+# The speedup must be free (same losses, same final weights, exactly),
+# and the graph-free LoRA step must reproduce autograd LoRA exactly.
+@cell("train", checks={
+    "identical_losses": lambda r, c: r["identical_losses"],
+    "identical_weights": lambda r, c: r["identical_weights"],
+    "speedup": lambda r, c: not r["gated"] or r["speedup"] >= MIN_SPEEDUP,
+    "lora_bit_identical": lambda r, c: r["lora_bit_identical"],
+})
 def train_throughput(scale: BenchScale = DEFAULT) -> dict:
-    """Epochs/second of both training paths, plus the bit-identity audit."""
+    """Epochs/second of both training paths, plus the bit-identity audit.
+
+    Where the speedup gate is armed, a run under it is re-measured once.
+    """
+    gated = scale.queries_per_db >= DEFAULT.queries_per_db
+    run = lambda: _train_throughput_once(scale)
+    result = remeasure_below(run, "speedup", MIN_SPEEDUP) if gated else run()
+    return dict(result, min_speedup=MIN_SPEEDUP, gated=gated)
+
+
+def _train_throughput_once(scale: BenchScale) -> dict:
+    """One measurement of both training paths."""
     train = _training_workload(scale)
     config = _config(scale)
 

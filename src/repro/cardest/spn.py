@@ -352,6 +352,3 @@ class SPNTableEstimator:
                 )
             by_column.setdefault(index, []).append(predicate)
         return float(np.clip(self._evaluate(self.root, by_column), 0.0, 1.0))
-
-    def estimate_rows(self, predicates: Sequence[Predicate]) -> float:
-        return max(1.0, self.num_rows * self.selectivity(predicates))

@@ -10,7 +10,7 @@ generalization actually depends on.
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.datagen import Database, generate_database
 from repro.catalog.stats import ColumnStats, TableStats, collect_table_stats
-from repro.catalog.zoo import ZOO_DATABASE_NAMES, load_database, load_zoo
+from repro.catalog.zoo import ZOO_DATABASE_NAMES, load_database
 
 __all__ = [
     "Column",
@@ -24,5 +24,4 @@ __all__ = [
     "collect_table_stats",
     "ZOO_DATABASE_NAMES",
     "load_database",
-    "load_zoo",
 ]

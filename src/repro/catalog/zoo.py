@@ -14,7 +14,7 @@ the paper's workload 3 and the drift experiments are defined against them.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -332,12 +332,3 @@ def load_database(
     if use_cache:
         _DATABASE_CACHE[key] = database
     return database
-
-
-def load_zoo(
-    names: Optional[List[str]] = None,
-    size_factor: float = DEFAULT_SIZE_FACTOR,
-) -> Dict[str, Database]:
-    """Materialize several (default: all 20) zoo databases."""
-    names = list(names) if names is not None else list(ZOO_DATABASE_NAMES)
-    return {name: load_database(name, size_factor) for name in names}

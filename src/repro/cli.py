@@ -414,24 +414,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.config import resolve_scale
-    from repro.experiments import cell_names, get_cell
-
-    if args.experiment == "list":
-        for name in cell_names():
-            print(name)
-        return 0
-    try:
-        runner = get_cell(args.experiment)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2)
-    result = runner(resolve_scale(args.scale))
-    print(result["table"])
-    return 0
-
-
 _DEFAULT_RESULTS_DIR = "benchmarks/results"
 
 
@@ -522,13 +504,20 @@ def _cmd_exp_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_exp_report(args: argparse.Namespace) -> int:
-    from repro.experiments import load_results_from_dir
+    """Print stored tables; file the default-parameter cells' outputs.
 
-    directory = _results_dir(args)
-    if args.scale:
-        import os
+    A cell run at its experiment's default parameters (no axes) also
+    writes ``<results>/<scale>/<cell function>.txt``, and, when the cell
+    declares checks, the perf record ``BENCH_<cell function>.json`` in
+    the working directory.  Axis sweeps never overwrite either.
+    """
+    import os
 
-        directory = os.path.join(directory, args.scale)
+    from repro.experiments import ResultsStore, cell_checks, cell_names, \
+        get_cell, load_results_from_dir
+
+    root = _results_dir(args)
+    directory = os.path.join(root, args.scale) if args.scale else root
     cells = load_results_from_dir(directory)
     if args.experiment:
         cells = [c for c in cells if c.experiment == args.experiment]
@@ -537,7 +526,69 @@ def _cmd_exp_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     print("\n\n".join(cell.table for cell in cells))
+    registered = cell_names()
+    for cell in cells:
+        if (cell.experiment not in registered
+                or any(key not in ("experiment", "scale")
+                       for key in cell.config)):
+            continue
+        name = get_cell(cell.experiment).__name__
+        path = os.path.join(root, cell.scale, f"{name}.txt")
+        with open(path, "w") as handle:
+            handle.write(cell.table + "\n")
+        if cell_checks(cell.experiment):
+            ResultsStore.write_perf_record(f"BENCH_{name}.json", {
+                "benchmark": name, "scale": cell.scale, **cell.results,
+            })
     return 0
+
+
+def _cmd_exp_check(args: argparse.Namespace) -> int:
+    """Evaluate every check of every stored cell of the named experiments.
+
+    Exits 1 when a check fails, when a named experiment has no stored
+    cell at the scale, or when any cell file there is corrupt: a check
+    never passes because nothing was checked.
+    """
+    import glob
+    import os
+
+    from repro.experiments import CellCorruptError, ResultsStore, \
+        evaluate_checks, get_cell
+
+    store = ResultsStore(root=_results_dir(args), scale=args.scale)
+    try:
+        for experiment in args.experiments:
+            get_cell(experiment)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2)
+    rows, failed = [], 0
+    cells = []
+    for path in sorted(glob.glob(os.path.join(store.cells_dir, "*.json"))):
+        config_id = os.path.basename(path)[:-len(".json")]
+        try:
+            cells.append(store.load(config_id))
+        except CellCorruptError:
+            rows.append(["?", config_id, "readable", "-", "FAIL"])
+            failed += 1
+    for experiment in args.experiments:
+        mine = [c for c in cells if c.experiment == experiment]
+        if not mine:
+            rows.append([experiment, "-", "stored", "-", "FAIL"])
+            failed += 1
+        for cell in mine:
+            for name, passed in evaluate_checks(cell):
+                rows.append([experiment, cell.config_id, name,
+                             cell.results.get(name, "-"),
+                             "ok" if passed else "FAIL"])
+                failed += not passed
+    print(format_table(
+        ["experiment", "config_id", "check", "value", "result"], rows,
+        title=f"checks @ {args.scale}: {len(rows) - failed} passed, "
+              f"{failed} failed",
+    ))
+    return 1 if failed else 0
 
 
 def _cmd_exp_diff(args: argparse.Namespace) -> int:
@@ -700,16 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.bench.config import SCALES
     from repro.experiments.runner import BACKENDS
 
-    bench = sub.add_parser(
-        "bench", help="run one of the paper's experiments"
-    )
-    bench.add_argument(
-        "experiment",
-        help="experiment name from the cell registry, or 'list'",
-    )
-    bench.add_argument("--scale", choices=sorted(SCALES), default="smoke")
-    bench.set_defaults(func=_cmd_bench)
-
     exp = sub.add_parser(
         "exp", help="declarative experiment matrices with resumable cells"
     )
@@ -719,8 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="expand a matrix and run every cell not already stored"
     )
     exp_run.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
-                         help="registered experiment name(s); "
-                              "see 'repro bench list'")
+                         help="registered experiment name(s); an "
+                              "unknown name lists the valid ones")
     exp_run.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     exp_run.add_argument("--axis", action="append", metavar="NAME=V1,V2",
                          help="one matrix axis: a BenchScale field or a "
@@ -761,6 +802,17 @@ def build_parser() -> argparse.ArgumentParser:
     exp_report.add_argument("--scale", default=None)
     exp_report.add_argument("--results-dir", default=None)
     exp_report.set_defaults(func=_cmd_exp_report)
+
+    exp_check = exp_sub.add_parser(
+        "check", help="evaluate the checks of stored cells; exit 1 on a "
+                      "failure, a missing cell or a corrupt cell"
+    )
+    exp_check.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
+                           help="registered experiment name(s)")
+    exp_check.add_argument("--scale", choices=sorted(SCALES),
+                           default="smoke")
+    exp_check.add_argument("--results-dir", default=None)
+    exp_check.set_defaults(func=_cmd_exp_check)
 
     exp_diff = exp_sub.add_parser(
         "diff", help="compare two stored cells metric by metric"

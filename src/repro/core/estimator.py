@@ -352,6 +352,3 @@ class DACE:
         """
         return 4 * self.num_parameters(include_lora) / 1e6
 
-    def lora_size_mb(self) -> float:
-        """Size of the LoRA adapters alone."""
-        return 4 * self.model.lora_num_parameters() / 1e6

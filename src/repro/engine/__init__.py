@@ -18,7 +18,6 @@ from repro.engine.diagnostics import (
     NodeDiagnostic,
     diagnose_plan,
     error_by_node_type,
-    worst_nodes,
 )
 from repro.engine.cost_model import CostModel, PostgresCostConstants
 from repro.engine.cardinality import CardinalityEstimator
@@ -34,7 +33,6 @@ __all__ = [
     "explain",
     "NodeDiagnostic",
     "diagnose_plan",
-    "worst_nodes",
     "error_by_node_type",
     "PostgresCostConstants",
     "CostModel",

@@ -73,14 +73,6 @@ def diagnose_plan(
     return diagnostics
 
 
-def worst_nodes(
-    plan: PlanNode, top: int = 3
-) -> List[NodeDiagnostic]:
-    """The nodes with the worst cardinality misestimation."""
-    diagnostics = diagnose_plan(plan)
-    return sorted(diagnostics, key=lambda d: d.row_qerror, reverse=True)[:top]
-
-
 def error_by_node_type(plans: Sequence[PlanNode]) -> Dict[str, dict]:
     """Workload-level: cardinality q-error statistics per operator type.
 

@@ -223,6 +223,3 @@ class TrueCardinalityCalculator:
             live &= np.isfinite(values)
         return float(np.unique(values[live]).size)
 
-    def query_rows(self, query: Query) -> float:
-        """Exact result cardinality of the full query (before aggregation)."""
-        return self.subset_rows(query, query.tables)

@@ -7,11 +7,12 @@ makes that matrix explicit:
 - :class:`~repro.experiments.config.ExperimentConfig` — a fully-resolved
   config with a stable ID (sha256 of canonical JSON), so identical
   configs are identical cells wherever they are computed;
-- :class:`~repro.experiments.matrix.ExperimentSpec` /
-  :data:`~repro.experiments.matrix.Matrix` — the declarative cartesian
-  product of axes, with ``pin()``/``filter()`` narrowing;
+- :class:`~repro.experiments.matrix.ExperimentSpec` — the declarative
+  cartesian product of axes;
 - :func:`~repro.experiments.registry.cell` — the decorator that turns a
-  ``repro.bench`` figure runner into a registered cell function;
+  ``repro.bench`` figure runner into a registered cell function, with
+  the named checks :func:`~repro.experiments.registry.evaluate_checks`
+  runs on its stored cells;
 - :class:`~repro.experiments.runner.Runner` — fans cells out over a
   thread pool or a spawn-isolated process pool (``backend="process"``:
   per-cell timeouts, crash containment, byte-identical results), skips
@@ -26,7 +27,8 @@ makes that matrix explicit:
   :func:`~repro.experiments.store.format_metrics_report` to regenerate
   paper tables from stored cells without recomputing.
 
-CLI surface: ``repro exp run|ls|report|diff|clean`` (see ``repro.cli``).
+CLI surface: ``repro exp run|ls|report|check|diff|clean`` (see
+``repro.cli``).
 """
 
 from repro.experiments.config import (
@@ -35,14 +37,15 @@ from repro.experiments.config import (
     canonical_value,
     config_id,
 )
-from repro.experiments.matrix import Axis, ExperimentSpec, Matrix
+from repro.experiments.matrix import Axis, ExperimentSpec
 from repro.experiments.registry import (
     cell,
+    cell_checks,
     cell_names,
     ensure_builtin_cells,
+    evaluate_checks,
     get_cell,
     register_cell,
-    unregister_cell,
 )
 from repro.experiments.store import (
     CELL_SCHEMA,
@@ -73,13 +76,13 @@ __all__ = [
     "config_id",
     "Axis",
     "ExperimentSpec",
-    "Matrix",
     "cell",
+    "cell_checks",
     "cell_names",
     "ensure_builtin_cells",
+    "evaluate_checks",
     "get_cell",
     "register_cell",
-    "unregister_cell",
     "CELL_SCHEMA",
     "PERF_SCHEMA",
     "CellCorruptError",

@@ -1,31 +1,27 @@
 """Declarative experiment matrices.
 
-An :class:`ExperimentSpec` (alias :data:`Matrix`) names one or more
-registered experiments, a bench scale, and a set of axes — each axis a
-named sequence of values.  ``expand()`` takes the cartesian product and
-yields one content-hashed :class:`~repro.experiments.config.ExperimentConfig`
-per cell.  Axes may be any :class:`~repro.bench.config.BenchScale` field
-(``seed``, ``drift_factors``, ``lora_epochs``, …) or any keyword the cell
-function accepts (``fault_rate``, ``exclude``, ``databases``, …); the
+An :class:`ExperimentSpec` names one or more registered experiments, a
+bench scale, and a set of axes — each axis a named sequence of values.
+``expand()`` takes the cartesian product and yields one content-hashed
+:class:`~repro.experiments.config.ExperimentConfig` per cell.  Axes may
+be any :class:`~repro.bench.config.BenchScale` field (``seed``,
+``drift_factors``, ``lora_epochs``, …) or any keyword the cell function
+accepts (``fault_rate``, ``exclude``, ``databases``, …); the
 :class:`~repro.experiments.runner.Runner` validates the split before
-anything executes.
-
-Specs are immutable: ``pin()`` and ``filter()`` return new specs, so a
-wide sweep can be narrowed without rebuilding it::
+anything executes::
 
     spec = ExperimentSpec(
         "chaos", scale="smoke",
         axes={"fault_rate": (0.0, 0.1, 0.3), "seed": (0, 1)},
     )
-    smoke_only = spec.pin(seed=0).filter(lambda c: c["fault_rate"] > 0)
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, \
-    Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, \
+    Union
 
 from repro.experiments.config import ExperimentConfig
 
@@ -88,7 +84,6 @@ class ExperimentSpec:
         scale: Any = "smoke",
         axes: Union[None, Mapping[str, Sequence], Iterable[Axis]] = None,
         base: Mapping[str, Any] = None,
-        filters: Sequence[Callable[[Mapping[str, Any]], bool]] = (),
     ) -> None:
         if isinstance(experiments, str):
             experiments = (experiments,)
@@ -103,7 +98,6 @@ class ExperimentSpec:
                     f"{reserved!r} is managed by the spec, not an axis"
                 )
         self.base = dict(base or {})
-        self.filters: Tuple[Callable, ...] = tuple(filters)
 
     # ------------------------------------------------------------------ #
     # Scale resolution
@@ -123,32 +117,10 @@ class ExperimentSpec:
         return self.scale
 
     # ------------------------------------------------------------------ #
-    # Narrowing
-    # ------------------------------------------------------------------ #
-    def pin(self, **values: Any) -> "ExperimentSpec":
-        """A copy with each named axis fixed to a single value."""
-        axes = dict(self.axes)
-        for name, value in values.items():
-            axes[name] = (value,)
-        return ExperimentSpec(
-            self.experiments, scale=self.scale, axes=axes,
-            base=self.base, filters=self.filters,
-        )
-
-    def filter(
-        self, predicate: Callable[[Mapping[str, Any]], bool]
-    ) -> "ExperimentSpec":
-        """A copy that drops cells whose config fails ``predicate``."""
-        return ExperimentSpec(
-            self.experiments, scale=self.scale, axes=self.axes,
-            base=self.base, filters=self.filters + (predicate,),
-        )
-
-    # ------------------------------------------------------------------ #
     # Expansion
     # ------------------------------------------------------------------ #
     def expand(self) -> List[ExperimentConfig]:
-        """One content-hashed config per surviving matrix cell.
+        """One content-hashed config per matrix cell.
 
         Expansion order is deterministic: experiments in declaration
         order, then axes in sorted-name order, each axis in declared
@@ -163,8 +135,6 @@ class ExperimentSpec:
                 config["experiment"] = experiment
                 config["scale"] = self.scale_name
                 config.update(zip(axis_names, combo))
-                if any(not check(config) for check in self.filters):
-                    continue
                 label = f"{experiment}@{self.scale_name}"
                 if axis_names:
                     label += " " + ",".join(
@@ -187,6 +157,3 @@ class ExperimentSpec:
         return (f"ExperimentSpec({list(self.experiments)}, "
                 f"scale={self.scale_name!r}, axes=[{axes}])")
 
-
-#: A matrix *is* a spec; both names read naturally in different contexts.
-Matrix = ExperimentSpec

@@ -8,8 +8,8 @@ the same paths.  Each cell file carries the full config (rehydration
 re-verifies the hash), the rendered paper table, the JSON-sanitized raw
 results, and the wall time spent computing it.
 
-Perf-trajectory files (the root-level ``BENCH_*.json`` written by
-``benchmarks/bench_train_throughput.py``) share the same writer through
+Perf-trajectory files (the root-level ``BENCH_*.json`` that ``repro exp
+report`` writes for checked cells) share the same writer through
 :meth:`ResultsStore.write_perf_record` so every JSON artifact in the
 repo has a ``schema`` tag and atomic-write semantics.
 """
@@ -239,13 +239,6 @@ class ResultsStore:
             return _load_cell_file(path)
         except CellCorruptError:
             return None
-
-    def has_valid_cell(self, config: ExperimentConfig) -> bool:
-        return self.try_load(config) is not None
-
-    def load_all(self) -> List[CellResult]:
-        """Every valid cell at this scale, sorted for stable reports."""
-        return load_results_from_dir(self.cells_dir)
 
     def clean(self) -> int:
         """Delete all cell files at this scale; return the count."""

@@ -104,12 +104,6 @@ class CaughtPlan:
                 distances[j, i] = d
         return distances
 
-    @property
-    def root_actual_time(self) -> float:
-        if self.actual_times is None:
-            raise ValueError("plan was not executed; no labels available")
-        return float(self.actual_times[0])
-
 
 def catch_plan(plan: PlanNode) -> CaughtPlan:
     """Extract features, tree structure, and labels from a plan tree."""

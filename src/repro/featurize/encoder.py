@@ -16,8 +16,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.plan import NODE_TYPES, PlanNode
-from repro.featurize.catcher import CaughtPlan, catch_plan
+from repro.engine.plan import NODE_TYPES
+from repro.featurize.catcher import CaughtPlan
 from repro.featurize.loss_weights import DEFAULT_ALPHA, loss_weights
 
 NUM_NODE_TYPES = len(NODE_TYPES)  # 16
@@ -46,9 +46,6 @@ class RobustScaler:
             raise RuntimeError("scaler must be fit before transform")
         logged = np.log1p(np.maximum(values, 0.0))
         return (logged - self.center_) / self.scale_
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
 
     def state(self) -> dict:
         return {"center": self.center_, "scale": self.scale_}
@@ -299,10 +296,6 @@ class PlanEncoder:
         )
 
     # ------------------------------------------------------------------ #
-    def encode_plan_nodes(self, plan: PlanNode) -> EncodedBatch:
-        """Convenience: catch + encode a single raw plan (no labels)."""
-        return self.encode_batch([catch_plan(plan)], with_labels=False)
-
     def state(self) -> dict:
         return {
             "alpha": self.alpha,

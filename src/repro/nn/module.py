@@ -81,10 +81,6 @@ class Module:
         params = self.trainable_parameters() if trainable_only else self.parameters()
         return int(sum(p.size for p in params))
 
-    def size_bytes(self, trainable_only: bool = False) -> int:
-        """Model size in bytes assuming float32 storage (as the paper reports)."""
-        return 4 * self.num_parameters(trainable_only=trainable_only)
-
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #

@@ -108,10 +108,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     def reset(self) -> None:
         self._value = 0.0
 

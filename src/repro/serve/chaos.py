@@ -90,10 +90,6 @@ class ChaosEstimator:
         self._rng = np.random.default_rng(self.config.seed)
         self.injected = {"error": 0, "nan": 0, "latency": 0}
 
-    @property
-    def faults_injected(self) -> int:
-        return sum(self.injected.values())
-
     def _roll(self) -> Optional[str]:
         """Draw the fault category for one call (None = healthy)."""
         config = self.config

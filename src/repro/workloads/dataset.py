@@ -9,7 +9,7 @@ collection with split/filter helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class PlanDataset:
     def database_names(self) -> List[str]:
         return sorted({s.database_name for s in self.samples})
 
-    def filter(self, keep: Callable[[PlanSample], bool]) -> "PlanDataset":
-        return PlanDataset([s for s in self.samples if keep(s)])
-
     def shuffled(self, seed: int = 0) -> "PlanDataset":
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(self.samples))
@@ -98,13 +95,6 @@ class PlanDataset:
         if count >= len(self.samples):
             return PlanDataset(list(self.samples))
         return self.shuffled(seed)[:count]
-
-    def by_node_count(self) -> dict:
-        """Group samples into buckets by plan node count."""
-        buckets: dict = {}
-        for sample in self.samples:
-            buckets.setdefault(sample.num_nodes, []).append(sample)
-        return {k: PlanDataset(v) for k, v in sorted(buckets.items())}
 
     @staticmethod
     def merge(datasets: Iterable["PlanDataset"]) -> "PlanDataset":

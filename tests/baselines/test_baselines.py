@@ -131,13 +131,6 @@ class TestNeuralBaselines:
         embeddings = model.embed_dataset(test)
         assert embeddings.shape == (len(test), 128)
 
-    def test_tpool_cardinality_head(self, train_test):
-        train, test = train_test
-        model = TPoolModel(epochs=5, seed=0).fit(train)
-        cards = model.predict_cardinality(test)
-        assert (cards >= 0).all()
-        assert np.isfinite(cards).all()
-
     def test_model_sizes_exceed_dace(self, imdb_db):
         dace_params = DACE().num_parameters()
         for model in [ZeroShotModel(), QPPNetModel(), TPoolModel(),

@@ -131,14 +131,15 @@ class TestMatrix:
     """The experiment matrix drives real bench cells, resumably."""
 
     def test_runner_cell_byte_equal_to_direct_call(self, tmp_path):
-        from repro.experiments import ExperimentSpec, ResultsStore, Runner
+        from repro.experiments import ExperimentSpec, ResultsStore, Runner, \
+            load_results_from_dir
 
         store = ResultsStore(root=str(tmp_path), scale="tiny")
         spec = ExperimentSpec("fig04", scale=TINY)
         summary = Runner(store).run(spec)
         assert len(summary.ran) == 1
 
-        cell = store.load_all()[0]
+        cell = load_results_from_dir(store.cells_dir)[0]
         direct = fig04_zeroshot_nodes(TINY)
         assert cell.table == direct["table"]
         assert cell.wall_seconds > 0
@@ -149,7 +150,8 @@ class TestMatrix:
         assert not resumed.ran
 
     def test_held_out_db_axis(self, tmp_path):
-        from repro.experiments import ExperimentSpec, ResultsStore, Runner
+        from repro.experiments import ExperimentSpec, ResultsStore, Runner, \
+            load_results_from_dir
 
         store = ResultsStore(root=str(tmp_path), scale="tiny")
         spec = ExperimentSpec(
@@ -157,7 +159,8 @@ class TestMatrix:
         )
         summary = Runner(store).run(spec)
         assert len(summary.ran) == 2
-        tables = {c.config["exclude"]: c.table for c in store.load_all()}
+        tables = {c.config["exclude"]: c.table
+                  for c in load_results_from_dir(store.cells_dir)}
         assert "unseen imdb" in tables["imdb"]
         assert "unseen tpc_h" in tables["tpc_h"]
 
@@ -206,8 +209,8 @@ class TestTab2EpochCounting:
 class TestExpMatrixCell:
     def test_exp_matrix_tiny(self):
         """Both backends store the same cells; speedup is reported
-        (but only gated in benchmarks/bench_exp_matrix.py, where the
-        CPU count is checked)."""
+        (but only gated by the cell's ``speedup`` check, which reads the
+        stored CPU count)."""
         from repro.bench import exp_matrix
 
         result = exp_matrix(TINY, n_cells=2, workers=2, n_plans=20)

@@ -8,7 +8,6 @@ from repro.engine import (
     M1,
     diagnose_plan,
     error_by_node_type,
-    worst_nodes,
 )
 from repro.metrics import (
     rank_quality,
@@ -57,12 +56,6 @@ class TestDiagnostics:
         plan = session.explain(Query(tables=["users"]))
         with pytest.raises(ValueError):
             diagnose_plan(plan)
-
-    def test_worst_nodes_sorted(self, analyzed):
-        plan, _ = analyzed
-        worst = worst_nodes(plan, top=3)
-        values = [d.row_qerror for d in worst]
-        assert values == sorted(values, reverse=True)
 
     def test_error_by_node_type(self, analyzed, tiny_db):
         _, session = analyzed

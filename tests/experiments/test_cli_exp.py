@@ -7,7 +7,8 @@ import pytest
 
 from repro.bench.config import BenchScale
 from repro.cli import main
-from repro.experiments import register_cell, unregister_cell
+from repro.experiments import register_cell
+from repro.experiments.registry import _CELLS
 from repro.metrics.tables import format_table
 
 
@@ -19,11 +20,18 @@ def tiny_cell(scale: BenchScale, gain: float = 1.0) -> dict:
     return {"table": table, "value": scale.seed + gain}
 
 
+def checked_cell(scale: BenchScale, gain: float = 1.0) -> dict:
+    return tiny_cell(scale, gain)
+
+
 @pytest.fixture(autouse=True)
 def registered_tiny():
     register_cell("tiny", tiny_cell)
+    register_cell("checked", checked_cell,
+                  checks={"value": lambda r, c: r["value"] > 0})
     yield
-    unregister_cell("tiny")
+    _CELLS.pop("tiny", None)
+    _CELLS.pop("checked", None)
 
 
 class TestExpRun:
@@ -110,6 +118,34 @@ class TestExpReport:
                      "--results-dir", str(tmp_path)]) == 0
         reported = capsys.readouterr().out
         assert reported == tiny_cell(SMOKE)["table"] + "\n"
+
+    def test_report_files_default_cell_outputs(self, tmp_path, capsys,
+                                               monkeypatch):
+        """Only the default-parameter cell files its table and, for a
+        checked cell, its perf record; an axis sweep writes neither."""
+        from repro.bench.config import SMOKE
+
+        monkeypatch.chdir(tmp_path)
+        results = str(tmp_path / "results")
+        for experiment in ("tiny", "checked"):
+            main(["exp", "run", experiment, "--results-dir", results])
+            main(["exp", "run", experiment, "--axis", "gain=5.0",
+                  "--results-dir", results])
+        capsys.readouterr()
+        assert main(["exp", "report", "--results-dir", results]) == 0
+        capsys.readouterr()
+
+        table = tiny_cell(SMOKE)["table"] + "\n"
+        for name in ("tiny_cell", "checked_cell"):
+            path = os.path.join(results, "smoke", f"{name}.txt")
+            assert open(path).read() == table
+        assert sorted(p.name for p in tmp_path.glob("BENCH_*")) == [
+            "BENCH_checked_cell.json"]
+        record = json.load(open(tmp_path / "BENCH_checked_cell.json"))
+        assert record == {
+            "benchmark": "checked_cell", "scale": "smoke", "value": 1.0,
+            "schema": "repro.experiments/perf-v1",
+        }
 
     def test_report_without_cells_errors(self, tmp_path, capsys):
         assert main(["exp", "report",

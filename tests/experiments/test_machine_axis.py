@@ -15,12 +15,13 @@ from repro.bench.config import SMOKE, BenchScale
 from repro.engine.machines import M1, M2, MACHINES, MachineProfile, \
     other_machine, resolve_machine
 from repro.experiments import (
+    load_results_from_dir,
     ExperimentSpec,
     ResultsStore,
     Runner,
     register_cell,
-    unregister_cell,
 )
+from repro.experiments.registry import _CELLS
 
 SEEN = []
 
@@ -35,7 +36,7 @@ def registered_probe():
     register_cell("machine-probe", machine_probe)
     SEEN.clear()
     yield
-    unregister_cell("machine-probe")
+    _CELLS.pop("machine-probe", None)
     cache.clear_caches()
 
 
@@ -79,7 +80,8 @@ class TestMatrixExpansion:
         assert len(summary.ran) == 2 and not summary.failed
         assert sorted(SEEN) == ["M1", "M2"]
         assert {
-            cell.results["machine"] for cell in store.load_all()
+            cell.results["machine"]
+            for cell in load_results_from_dir(store.cells_dir)
         } == {"M1", "M2"}
 
     def test_default_scale_machine_is_m1(self):

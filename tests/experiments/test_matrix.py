@@ -1,11 +1,11 @@
-"""Matrix expansion: cartesian product, pinning, filtering, scales."""
+"""Matrix expansion: cartesian product, axes, scales."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.bench.config import SMOKE
-from repro.experiments import Axis, ExperimentSpec, Matrix
+from repro.experiments import Axis, ExperimentSpec
 
 
 class TestExpansion:
@@ -56,32 +56,6 @@ class TestExpansion:
             base={"n_plans": 99},
         )
         assert all(c.config["n_plans"] == 99 for c in spec)
-
-    def test_matrix_alias(self):
-        assert Matrix is ExperimentSpec
-
-
-class TestNarrowing:
-    def test_pin(self):
-        spec = ExperimentSpec(
-            "chaos", axes={"fault_rate": [0.0, 0.1, 0.3], "seed": [0, 1]},
-        )
-        pinned = spec.pin(seed=0)
-        assert len(spec) == 6      # the original is untouched
-        assert len(pinned) == 3
-        assert all(c.config["seed"] == 0 for c in pinned)
-
-    def test_filter(self):
-        spec = ExperimentSpec("chaos", axes={"fault_rate": [0.0, 0.1, 0.3]})
-        narrowed = spec.filter(lambda c: c["fault_rate"] > 0)
-        assert len(narrowed) == 2
-        assert len(spec) == 3
-
-    def test_pin_then_filter_compose(self):
-        spec = ExperimentSpec(
-            "chaos", axes={"fault_rate": [0.0, 0.3], "seed": [0, 1]},
-        )
-        assert len(spec.pin(seed=1).filter(lambda c: c["fault_rate"] > 0)) == 1
 
 
 class TestScales:

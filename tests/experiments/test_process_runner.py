@@ -27,8 +27,8 @@ from repro.experiments import (
     ResultsStore,
     Runner,
     register_cell,
-    unregister_cell,
 )
+from repro.experiments.registry import _CELLS
 from repro.experiments.worker import (
     counter_deltas,
     fn_reference,
@@ -106,7 +106,7 @@ def registered_cells():
     register_cell("fake-metrics", fake_metrics_cell)
     yield
     for name in ("proc", "crasher", "sleeper", "erroring", "fake-metrics"):
-        unregister_cell(name)
+        _CELLS.pop(name, None)
     from repro.bench.cache import clear_caches
 
     clear_caches()

@@ -10,12 +10,13 @@ import pytest
 
 from repro.bench.config import BenchScale
 from repro.experiments import (
+    load_results_from_dir,
     ExperimentSpec,
     ResultsStore,
     Runner,
     register_cell,
-    unregister_cell,
 )
+from repro.experiments.registry import _CELLS
 from repro.metrics.tables import format_table
 
 CALLS = []
@@ -43,8 +44,8 @@ def registered_dummies():
     register_cell("doomed", failing_cell)
     CALLS.clear()
     yield
-    unregister_cell("dummy")
-    unregister_cell("doomed")
+    _CELLS.pop("dummy", None)
+    _CELLS.pop("doomed", None)
 
 
 def make_runner(tmp_path, **kwargs) -> Runner:
@@ -64,7 +65,7 @@ class TestRun:
         assert len(summary.ran) == 4
         assert not summary.skipped and not summary.failed
         assert len(CALLS) == 4
-        cells = runner.store.load_all()
+        cells = load_results_from_dir(runner.store.cells_dir)
         assert len(cells) == 4
         assert all(cell.table.startswith("dummy @ smoke") for cell in cells)
         assert {cell.results["value"] for cell in cells} == {1.0, 2.0, 3.0}
@@ -89,7 +90,7 @@ class TestRun:
     def test_corrupt_cell_reruns_instead_of_crashing(self, tmp_path):
         runner = make_runner(tmp_path)
         runner.run(SPEC)
-        victim = runner.store.load_all()[0]
+        victim = load_results_from_dir(runner.store.cells_dir)[0]
         path = runner.store.cells_dir + f"/{victim.config_id}.json"
         open(path, "w").write("{ truncated")
         CALLS.clear()
@@ -107,7 +108,8 @@ class TestRun:
         assert len(summary.failed) == 1
         assert "boom" in summary.failed[0]["error"]
         # The failure left no cell file behind.
-        assert [c.experiment for c in runner.store.load_all()] == ["dummy"]
+        cells = load_results_from_dir(runner.store.cells_dir)
+        assert [c.experiment for c in cells] == ["dummy"]
 
     def test_duplicate_configs_run_once(self, tmp_path):
         runner = make_runner(tmp_path)
@@ -124,9 +126,11 @@ class TestFanOut:
         summary = threaded.run(SPEC)
         assert len(summary.ran) == 4
         serial_cells = {c.config_id: c.table
-                        for c in serial.store.load_all()}
+                        for c in load_results_from_dir(
+                            serial.store.cells_dir)}
         threaded_cells = {c.config_id: c.table
-                          for c in threaded.store.load_all()}
+                          for c in load_results_from_dir(
+                              threaded.store.cells_dir)}
         assert serial_cells == threaded_cells
 
     def test_bad_worker_count_rejected(self, tmp_path):
@@ -162,7 +166,7 @@ class TestAxisRouting:
             )
             make_runner(tmp_path).run(spec)
         finally:
-            unregister_cell("factors")
+            _CELLS.pop("factors", None)
         assert calls == [(1.0, 2.0)]
 
     def test_unknown_axis_fails_fast(self, tmp_path):

@@ -106,7 +106,7 @@ class TestCorruption:
         bad = make_cell(fault_rate=0.5)
         store.save(good)
         open(store.save(bad), "w").write("not json")
-        cells = store.load_all()
+        cells = load_results_from_dir(store.cells_dir)
         assert [c.config_id for c in cells] == [good.config_id]
 
 
@@ -130,14 +130,13 @@ class TestDirectoryLoading:
         store = ResultsStore(root=str(tmp_path), scale="smoke")
         for experiment in ("tab1", "fig07", "chaos"):
             store.save(make_cell(experiment=experiment))
-        assert [c.experiment for c in store.load_all()] == [
-            "chaos", "fig07", "tab1",
-        ]
+        cells = load_results_from_dir(store.cells_dir)
+        assert [c.experiment for c in cells] == ["chaos", "fig07", "tab1"]
 
     def test_format_metrics_report(self, tmp_path):
         store = ResultsStore(root=str(tmp_path), scale="smoke")
         store.save(make_cell(fault_rate=0.2))
-        report = format_metrics_report(store.load_all())
+        report = format_metrics_report(load_results_from_dir(store.cells_dir))
         assert "fig07" in report
         assert "fault_rate=0.2" in report
         assert format_metrics_report([]) == "no stored cells"
@@ -147,7 +146,7 @@ class TestDirectoryLoading:
         store.save(make_cell(fault_rate=0.0))
         store.save(make_cell(fault_rate=0.1))
         assert store.clean() == 2
-        assert store.load_all() == []
+        assert load_results_from_dir(store.cells_dir) == []
         assert store.clean() == 0
 
 

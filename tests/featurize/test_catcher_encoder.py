@@ -73,13 +73,10 @@ class TestCatcher:
         caught = catch_plan(make_plan())
         np.testing.assert_allclose(caught.actual_times,
                                    [50.0, 45.0, 12.0, 30.0, 25.0])
-        assert caught.root_actual_time == 50.0
 
     def test_unexecuted_plan_has_no_labels(self):
         caught = catch_plan(make_plan(with_labels=False))
         assert caught.actual_times is None
-        with pytest.raises(ValueError):
-            caught.root_actual_time
 
     def test_estimates_extracted(self):
         caught = catch_plan(make_plan())
@@ -117,8 +114,7 @@ class TestRobustScaler:
     def test_fit_transform_centers(self):
         rng = np.random.default_rng(0)
         values = rng.lognormal(3, 2, size=(1000, 2))
-        scaler = RobustScaler()
-        out = scaler.fit_transform(values)
+        out = RobustScaler().fit(values).transform(values)
         assert abs(np.median(out, axis=0)).max() < 1e-9
 
     def test_transform_before_fit_raises(self):
@@ -127,7 +123,7 @@ class TestRobustScaler:
 
     def test_degenerate_column_safe(self):
         values = np.ones((10, 2))
-        out = RobustScaler().fit_transform(values)
+        out = RobustScaler().fit(values).transform(values)
         assert np.isfinite(out).all()
 
     def test_state_roundtrip(self):

@@ -213,12 +213,6 @@ class TestGraphMechanics:
             y = (x * 2).sum()
         assert not y.requires_grad
 
-    def test_detach(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = x.detach()
-        assert not y.requires_grad
-        np.testing.assert_allclose(y.data, x.data)
-
     def test_deep_chain_no_recursion_error(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         y = x

@@ -37,7 +37,7 @@ class TestGauge:
         gauge = Gauge("g")
         gauge.set(10)
         gauge.inc(2.5)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value == pytest.approx(11.5)
 
 
@@ -255,7 +255,7 @@ class TestThreadSafety:
                 if index % 2:
                     gauge.inc()
                 else:
-                    gauge.dec()
+                    gauge.inc(-1)
 
         self._run_threads(4, worker)
         assert gauge.value == 0.0

@@ -7,6 +7,25 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.experiments import CellResult, ExperimentSpec, ResultsStore
+
+# Results that pass every check of their cell.
+PASSING = {
+    "serving": {"cached_speedup": 7.5, "batched_speedup": 5.3,
+                "cache_hit_rate": 1.0},
+    "concurrency": {"all_bit_identical": True, "miss_speedup_8": 2.1,
+                    "hit_speedup_8": 1.8},
+}
+
+
+def store_cell(root, experiment: str, results: dict) -> str:
+    """Store a smoke cell of ``experiment`` at its default parameters."""
+    config = ExperimentSpec(experiment, scale="smoke").expand()[0]
+    return ResultsStore(root=str(root), scale="smoke").save(CellResult(
+        config_id=config.id, label=config.label, experiment=experiment,
+        scale="smoke", config=dict(config.config), table="t",
+        results=results,
+    ))
 
 
 def assert_serial_batches(out: str, max_batch: int) -> None:
@@ -124,16 +143,50 @@ class TestCLI:
         capsys.readouterr()
         assert "-- histograms --" in open(table_path).read()
 
-    def test_bench_list(self, capsys):
-        assert main(["bench", "list"]) == 0
+    def test_exp_check_passing_cell_exits_0(self, tmp_path, capsys):
+        store_cell(tmp_path, "serving", PASSING["serving"])
+        assert main(["exp", "check", "serving",
+                     "--results-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "tab1" in out
-        assert "fig07" in out
-        assert "obsoverhead" in out
+        assert "0 failed" in out
+        assert "cached_speedup" in out
 
-    def test_bench_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "nonexistent"])
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("serving", "cached_speedup", 4.99),
+        ("concurrency", "all_bit_identical", False),
+    ])
+    def test_exp_check_failing_predicate_exits_1(self, tmp_path, capsys,
+                                                 experiment, key, value):
+        store_cell(tmp_path, experiment,
+                   dict(PASSING[experiment], **{key: value}))
+        assert main(["exp", "check", experiment,
+                     "--results-dir", str(tmp_path)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.rstrip().endswith("FAIL")]
+        assert len(failed) == 1 and key in failed[0]
+
+    def test_exp_check_missing_cell_exits_1(self, tmp_path, capsys):
+        store_cell(tmp_path, "serving", PASSING["serving"])
+        assert main(["exp", "check", "serving", "concurrency",
+                     "--results-dir", str(tmp_path)]) == 1
+        assert "1 failed" in capsys.readouterr().out
+
+    def test_exp_check_corrupt_cell_exits_1(self, tmp_path, capsys):
+        path = store_cell(tmp_path, "serving", PASSING["serving"])
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text[: len(text) // 2])
+        assert main(["exp", "check", "serving",
+                     "--results-dir", str(tmp_path)]) == 1
+        assert "readable" in capsys.readouterr().out
+
+    def test_exp_check_unknown_experiment(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["exp", "check", "nonexistent",
+                  "--results-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "valid names" in capsys.readouterr().err
 
     def test_serve_fleet_shards(self, tmp_path, capsys):
         workload = str(tmp_path / "airline.jsonl")

@@ -1,8 +1,8 @@
 """Every ``repro`` module is reached by something the project runs.
 
 The entry points are the registered experiment cells, the CLI
-(``repro.cli`` and ``python -m repro``), the ``benchmarks/`` scripts and
-the ``perfbench/`` workloads.  Edges are read from the source with
+(``repro.cli`` and ``python -m repro``) and the ``perfbench/``
+workloads.  Edges are read from the source with
 :mod:`ast`, so a lazy import inside a function counts the same as one at
 module top level.  A package ``__init__`` only re-exports: importing a
 name from a package reaches the module that defines the name, not every
@@ -10,10 +10,13 @@ re-export the package happens to list, and an ``__init__``'s own import
 statements are not edges.  A module nothing reaches is code no
 experiment runs, and should be deleted together with its tests.
 
-The same holds one level down for the public names of ``repro.nn`` and
-``repro.serve`` (each package's ``__all__`` and each of its modules'):
-each must be named by a reachable module, or by one of the entry
-scripts, other than a package ``__init__``.
+The same holds one level down for every public name: each name in the
+``__all__`` of a ``repro`` package or module, and each public method or
+property of a class listed there, must be named by a reachable module
+other than a package ``__init__``, by a ``perfbench/`` script or by an
+``examples/`` script.  A string that spells the name counts (a method
+patched or looked up by name), and so does a cell function's
+registration.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from __future__ import annotations
 import ast
 import functools
 import importlib
+import inspect
 import pathlib
 from typing import Dict, Iterator, Optional, Set
 
-import repro.nn
-import repro.serve
 from repro.experiments.registry import cell_names, get_cell
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -120,8 +122,7 @@ def entry_modules() -> Set[str]:
 
 
 def entry_scripts() -> Iterator[pathlib.Path]:
-    for folder in ("benchmarks", "perfbench"):
-        yield from sorted((ROOT / folder).glob("*.py"))
+    yield from sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def reached() -> Set[str]:
@@ -142,7 +143,7 @@ def test_every_module_is_reached_by_an_experiment():
     modules = {m for m in module_paths() if not is_package(m)}
     unreached = sorted(modules - reached())
     assert not unreached, (
-        "modules no cell, CLI command, benchmark or perfbench workload "
+        "modules no cell, CLI command or perfbench workload "
         f"imports: {unreached}"
     )
 
@@ -163,7 +164,8 @@ def test_walk_counts_lazy_imports():
 
 
 def used_names(path: pathlib.Path) -> Set[str]:
-    """Every name ``path`` reads, looks up as an attribute or imports."""
+    """Every name ``path`` reads, looks up as an attribute, imports or
+    spells as a string."""
     names = set()
     for node in ast.walk(parse(path)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -172,30 +174,47 @@ def used_names(path: pathlib.Path) -> Set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
     return names
 
 
 # Callers satisfy a typing.Protocol structurally and never name it.
 STRUCTURAL = {"Estimator"}
+# The resilience tier's per-prediction fallback flags: its answer to
+# whoever calls it, read by no module of its own stack.
+CALLER_API = {"ResilientEstimator.last_degraded"}
 
 
-def public_names(package) -> Set[str]:
-    """``package.__all__`` plus the ``__all__`` of each of its modules."""
-    names = set(package.__all__)
-    for name in module_paths():
-        if name.startswith(package.__name__ + "."):
-            module = importlib.import_module(name)
-            names.update(getattr(module, "__all__", ()))
+def public_names() -> Dict[str, str]:
+    """``qualified name -> name`` for every public name (see module doc)."""
+    names = {}
+    for module_name in sorted(module_paths()):
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            if name.startswith("_"):
+                continue
+            names[f"{module_name}.{name}"] = name
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and obj.__module__.startswith(PACKAGE):
+                for attr, value in vars(obj).items():
+                    if not attr.startswith("_") and (
+                        inspect.isfunction(value) or isinstance(
+                            value, (property, classmethod, staticmethod))):
+                        names[f"{obj.__name__}.{attr}"] = attr
     return names
 
 
-def test_every_public_nn_and_serve_name_is_used():
+def test_every_public_name_is_used():
     users = [module_paths()[m] for m in sorted(reached())
              if not is_package(m)]
-    used = set().union(*map(used_names, users + list(entry_scripts())))
-    public = public_names(repro.nn) | public_names(repro.serve)
-    unused = sorted(public - used - STRUCTURAL)
-    assert not unused, (
-        "public repro.nn / repro.serve names no reachable module uses: "
-        f"{unused}"
+    examples = sorted((ROOT / "examples").glob("*.py"))
+    used = set().union(*map(used_names,
+                            users + list(entry_scripts()) + examples))
+    used |= {get_cell(name).__name__ for name in cell_names()}
+    unused = sorted(
+        qualified for qualified, name in public_names().items()
+        if name not in used and name not in STRUCTURAL
+        and qualified not in CALLER_API
     )
+    assert not unused, f"public names no reachable module uses: {unused}"

@@ -1,47 +1,33 @@
-"""Repository self-consistency: docs, benches, and exports stay aligned."""
+"""Repository self-consistency: docs, cells, and exports stay aligned."""
 
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import repro.bench as bench
+from repro.experiments import cell_names, get_cell
 
 ROOT = pathlib.Path(__file__).parent.parent
-BENCH_FILES = sorted((ROOT / "benchmarks").glob("bench_*.py"))
+PAPER_ARTIFACTS = ["fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
+                   "fig10", "fig11", "fig12", "tab1", "tab2"]
 
 
 class TestBenchAlignment:
     def test_every_paper_artifact_has_a_bench(self):
-        names = {path.stem for path in BENCH_FILES}
-        for artifact in ["fig04", "fig05", "fig06", "fig07", "fig08",
-                         "fig09", "fig10", "fig11", "fig12", "tab1",
-                         "tab2"]:
-            assert any(artifact in name for name in names), artifact
-
-    @pytest.mark.parametrize(
-        "path", BENCH_FILES, ids=[p.stem for p in BENCH_FILES]
-    )
-    def test_bench_files_use_exported_runners(self, path):
-        source = path.read_text()
-        imported = re.findall(
-            r"from repro\.bench import (\w+)", source
-        )
-        assert imported, f"{path.name} imports no runner"
-        for name in imported:
-            assert hasattr(bench, name), f"{name} not exported"
-            assert name in bench.__all__
+        for artifact in PAPER_ARTIFACTS:
+            assert artifact in cell_names(), artifact
 
     def test_every_runner_used_by_some_bench(self):
-        all_sources = "\n".join(p.read_text() for p in BENCH_FILES)
-        runners = [
-            name for name in bench.__all__
-            if name.startswith(("fig", "tab1", "tab2", "ablation",
-                                "ensemble", "apps", "drift_taxonomy",
-                                "cardinality"))
-        ]
+        registered = {get_cell(name).__name__ for name in cell_names()}
+        helpers = ("repro.bench.config", "repro.bench.cache")
+        runners = [name for name in bench.__all__
+                   if inspect.isfunction(getattr(bench, name))
+                   and getattr(bench, name).__module__ not in helpers]
+        assert len(runners) == len(registered)
         for runner in runners:
-            assert runner in all_sources, f"{runner} has no bench driver"
+            assert runner in registered, f"{runner} is not a registered cell"
 
 
 class TestDocsAlignment:
@@ -58,8 +44,8 @@ class TestDocsAlignment:
 
     def test_design_md_lists_every_bench(self):
         design = (ROOT / "DESIGN.md").read_text()
-        for path in BENCH_FILES:
-            assert path.name in design, f"{path.name} missing from DESIGN.md"
+        for name in cell_names():
+            assert f"`{name}`" in design, f"cell {name} missing from DESIGN.md"
 
     def test_required_docs_exist(self):
         for name in ["README.md", "DESIGN.md", "EXPERIMENTS.md",

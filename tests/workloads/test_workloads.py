@@ -41,16 +41,6 @@ class TestPlanDataset:
         merged = PlanDataset.merge([imdb_workload[:5], imdb_workload[5:10]])
         assert len(merged) == 10
 
-    def test_filter(self, imdb_workload):
-        joins_only = imdb_workload.filter(lambda s: s.query.num_joins >= 1)
-        assert all(s.query.num_joins >= 1 for s in joins_only)
-
-    def test_by_node_count(self, imdb_workload):
-        buckets = imdb_workload.by_node_count()
-        assert sum(len(b) for b in buckets.values()) == len(imdb_workload)
-        for count, bucket in buckets.items():
-            assert all(s.num_nodes == count for s in bucket)
-
     def test_latencies_positive(self, imdb_workload):
         assert (imdb_workload.latencies() > 0).all()
 
