@@ -15,7 +15,7 @@ fastest candidate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 

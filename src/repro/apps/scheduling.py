@@ -10,7 +10,6 @@ workload so estimator quality shows up as scheduling quality.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import List, Sequence
 

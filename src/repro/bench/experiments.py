@@ -7,8 +7,9 @@ the experiment index and EXPERIMENTS.md for paper-vs-measured shapes.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence
+import copy
+import statistics
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from repro.bench.cache import (
     get_workload3,
     pretrain_dace,
     pretrain_zeroshot,
-    training_sets,
 )
 from repro.bench.config import DEFAULT, BenchScale
+from repro.bench.timing import seconds
 from repro.experiments.registry import cell
 from repro.catalog.zoo import load_database
 from repro.core import DACE, TrainingConfig
@@ -259,6 +260,24 @@ def plan_epochs(history: Sequence[dict], plans: int, phase=None) -> int:
     return plans * sum(1 for epoch in history if epoch.get("phase") == phase)
 
 
+#: Cold predictions per inference row; the row reports their median.
+COLD_REPEATS = 5
+
+
+def cold_qps(predict: Callable, items: Sequence,
+             clear: Callable[[], None] = lambda: None) -> float:
+    """Items/s of ``predict(items)``, the median of ``COLD_REPEATS``
+    cold calls: before each, outside the clock, ``clear()`` empties the
+    model's caches and the items are cloned, so no repeat times a cache
+    hit."""
+    def cold_copy():
+        clear()
+        return copy.deepcopy(items)
+
+    times = [seconds(predict, cold_copy)[0] for _ in range(COLD_REPEATS)]
+    return len(items) / statistics.median(times)
+
+
 def dace_efficiency(
     train: PlanDataset,
     test: PlanDataset,
@@ -269,24 +288,15 @@ def dace_efficiency(
     ``train``, timing each with the epochs it actually ran."""
     dace = DACE(training=training)
     history = dace.trainer.history
-    start = time.perf_counter()
-    dace.fit(train)
-    train_qps = plan_epochs(history, len(train)) / (
-        time.perf_counter() - start
-    )
-    start = time.perf_counter()
-    dace.predict(test)
-    infer_qps = len(test) / (time.perf_counter() - start)
+    fit_s, _ = seconds(lambda: dace.fit(train))
+    train_qps = plan_epochs(history, len(train)) / fit_s
+    infer_qps = cold_qps(dace.predict, test, dace.service.invalidate)
 
     began = len(history)
-    start = time.perf_counter()
-    dace.fine_tune_lora(train, epochs=lora_epochs)
-    tune_qps = plan_epochs(history[began:], len(train), "fine_tune_lora") / (
-        time.perf_counter() - start
-    )
-    start = time.perf_counter()
-    dace.predict(test)
-    lora_infer_qps = len(test) / (time.perf_counter() - start)
+    tune_s, _ = seconds(lambda: dace.fine_tune_lora(train, epochs=lora_epochs))
+    tuned = plan_epochs(history[began:], len(train), "fine_tune_lora")
+    tune_qps = tuned / tune_s
+    lora_infer_qps = cold_qps(dace.predict, test, dace.service.invalidate)
     return {
         "DACE": {
             "size_mb": dace.size_mb(),
@@ -303,43 +313,35 @@ def dace_efficiency(
 
 @cell("tab2")
 def tab2_efficiency(scale: BenchScale = DEFAULT) -> dict:
-    """Model size, training throughput, inference throughput."""
+    """Model size, training throughput, inference throughput.
+
+    Fits are timed once; each inference row is the median of repeated
+    cold predictions (:func:`cold_qps`).
+    """
     w3 = get_workload3(scale)
     train = w3.train
     test = w3.synthetic
     imdb = load_database("imdb")
-
-    def timed_fit(model) -> float:
-        start = time.perf_counter()
-        model.fit(train)
-        return len(train) * getattr(model, "epochs", 1) / (
-            time.perf_counter() - start
-        )
-
-    def timed_predict(model) -> float:
-        predict = model.predict_ms if hasattr(model, "predict_ms") \
-            else model.predict
-        start = time.perf_counter()
-        predict(test)
-        return len(test) / (time.perf_counter() - start)
 
     rows: List[list] = []
 
     # PostgreSQL: inference = the planner's own cost-estimation throughput.
     from repro.engine.session import EngineSession
     session = EngineSession(imdb, seed=scale.seed)
-    queries = [s.query for s in test]
-    start = time.perf_counter()
-    for query in queries:
-        session.explain(query)
-    pg_infer = len(queries) / (time.perf_counter() - start)
+    pg_infer = cold_qps(
+        lambda queries: [session.explain(query) for query in queries],
+        [s.query for s in test],
+    )
     rows.append(["PostgreSQL", "-", "-", pg_infer])
 
     results: Dict[str, dict] = {"PostgreSQL": {"infer_qps": pg_infer}}
 
     def bench(name: str, model) -> None:
-        train_qps = timed_fit(model)
-        infer_qps = timed_predict(model)
+        fit_s, _ = seconds(lambda: model.fit(train))
+        train_qps = len(train) * getattr(model, "epochs", 1) / fit_s
+        predict = model.predict_ms if hasattr(model, "predict_ms") \
+            else model.predict
+        infer_qps = cold_qps(predict, test)
         size = model.size_mb()
         rows.append([name, size, train_qps, infer_qps])
         results[name] = {

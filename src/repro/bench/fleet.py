@@ -21,24 +21,19 @@ EstimatorService` with the matching tenant tag activated through a
 :class:`~repro.serve.registry.ModelRegistry`, and the timed replay's
 outputs are re-checked against the same reference.  A tenant-churn
 segment (evict + re-register between passes) must leave answers
-unchanged.  The headline ratio uses the interleaved-pairs protocol of
-:func:`~repro.bench.serve.serve_concurrency` (drift hits both sides of a
-pair and cancels), with the garbage collector paused.
+unchanged.  Every ratio is a :func:`~repro.bench.timing.paired` median.
 """
 
 from __future__ import annotations
 
 import copy
-import gc
-import statistics
-import threading
-import time
 from typing import Dict, List
 
 import numpy as np
 
 from repro.bench.cache import get_workload1, pretrain_dace
 from repro.bench.config import DEFAULT, BenchScale, remeasure_below
+from repro.bench.timing import closed_loop, paired
 from repro.experiments.registry import cell
 from repro.featurize.catcher import catch_plan
 from repro.metrics.tables import format_table
@@ -173,47 +168,29 @@ def _serve_fleet_once(scale: BenchScale) -> dict:
                 bool(np.array_equal(got, reference[tag]))
             )
 
-    def run_clients(fleet: FleetGateway, clients: int) -> tuple:
-        out = [0.0] * n_requests
-        barrier = threading.Barrier(clients + 1)
+    expected = np.array([
+        reference[tags[t]][p] for t, p in zip(tenant_ids, plan_ids)
+    ])
 
-        def client(offset: int) -> None:
-            barrier.wait()
-            for i in range(offset, n_requests, clients):
-                out[i] = fleet.predict_plan(
+    def replay(fleet: FleetGateway, shards: int):
+        """A closed-loop measurement (two clients per shard) whose every
+        answer is checked."""
+        def measure():
+            elapsed, out = closed_loop(
+                lambda i: fleet.predict_plan(
                     plans[plan_ids[i]], tenant=tags[tenant_ids[i]]
-                )
-
-        threads = [
-            threading.Thread(target=client, args=(offset,))
-            for offset in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        return time.perf_counter() - start, out
-
-    def check_replay(out) -> None:
-        expected = np.array([
-            reference[tags[t]][p] for t, p in zip(tenant_ids, plan_ids)
-        ])
-        identical_flags.append(bool(np.array_equal(np.array(out), expected)))
+                ),
+                n_requests, 2 * shards,
+            )
+            identical_flags.append(bool(np.array_equal(out, expected)))
+            return elapsed, out
+        return measure
 
     churn_tag = tags[-1]
-    shard_counts = (1, 2, 4)
-    rows: List[list] = []
-    results: dict = {}
     fleets: Dict[int, FleetGateway] = {}
-    gc.collect()
-    gc.disable()
     try:
-        base_qps = None
-        for shards in shard_counts:
-            fleet = build_fleet(shards, shard_cache)
-            fleets[shards] = fleet
+        for shards in (1, 2, 4):
+            fleet = fleets[shards] = build_fleet(shards, shard_cache)
             # Identity before any number is believed — this also warms
             # the fleet caches with the full working set.
             check_identity(fleet)
@@ -226,58 +203,18 @@ def _serve_fleet_once(scale: BenchScale) -> dict:
                 fleet.predict_plans(plans, tenant=churn_tag),
                 reference[churn_tag],
             )))
-            clients = 2 * shards
-            run_clients(fleet, clients)  # settle memos + queue threads
-            best, out = float("inf"), None
-            for _ in range(3):
-                elapsed, out = run_clients(fleet, clients)
-                best = min(best, elapsed)
-            check_replay(out)
-            stats = fleet.stats()
-            qps = n_requests / best
-            if base_qps is None:
-                base_qps = qps
-            rows.append([
-                f"shards={shards}", qps, qps / base_qps,
-                stats["cache_hit_rate"], stats["shed"],
-                "yes" if identical_flags[-1] else "NO",
-            ])
-            results[f"shards{shards}"] = {
-                "plans_per_s": qps,
-                "speedup": qps / base_qps,
-                "hit_rate": stats["cache_hit_rate"],
-                "swaps": stats["swaps"],
-                "shed": stats["shed"],
-                "bit_identical": identical_flags[-1],
-            }
-
-        def paired_ratios(fleet_1: FleetGateway) -> List[float]:
-            """Interleaved pairs: best-of-2 time of ``fleet_1`` (2
-            clients) over best-of-2 time of the 4-shard fleet (8)."""
-            ratios: List[float] = []
-            for _ in range(5):
-                best_1 = best_4 = float("inf")
-                for _ in range(2):
-                    elapsed, out = run_clients(fleet_1, 2)
-                    best_1 = min(best_1, elapsed)
-                check_replay(out)
-                for _ in range(2):
-                    elapsed, out = run_clients(fleets[4], 8)
-                    best_4 = min(best_4, elapsed)
-                check_replay(out)
-                ratios.append(best_1 / best_4)
-            return ratios
-
-        # Headline: 4 shards vs 1, median ratio.
-        ratios = paired_ratios(fleets[1])
+        versus = {
+            shards: paired(replay(fleets[1], 1),
+                           replay(fleets[shards], shards))
+            for shards in (2, 4)
+        }
 
         # Equal-cache control (ungated): one shard whose cache equals the
         # 4-shard fleet's total.  What the 4 shards still earn over it is
         # what the topology itself buys, not the extra cache capacity.
         equalcache_1 = build_fleet(1, 4 * shard_cache)
         check_identity(equalcache_1)
-        run_clients(equalcache_1, 2)
-        equalcache_ratios = paired_ratios(equalcache_1)
+        equalcache = paired(replay(equalcache_1, 1), replay(fleets[4], 4))
         equalcache_hit_rate = equalcache_1.stats()["cache_hit_rate"]
         equalcache_1.close()
 
@@ -286,30 +223,42 @@ def _serve_fleet_once(scale: BenchScale) -> dict:
         # parallelism, and the record should say so rather than hide it).
         nocache_1 = build_fleet(1, 0)
         nocache_4 = build_fleet(4, 0)
-        run_clients(nocache_1, 2)
-        run_clients(nocache_4, 8)
-        nc1, _ = run_clients(nocache_1, 2)
-        nc4, _ = run_clients(nocache_4, 8)
-        nocache_speedup = nc1 / nc4
+        nocache = paired(replay(nocache_1, 1), replay(nocache_4, 4))
         nocache_1.close()
         nocache_4.close()
+
+        single_s = min(pairs.a_seconds for pairs in versus.values())
+        results: dict = {}
+        for shards, fleet in fleets.items():
+            stats = fleet.stats()
+            pairs = versus.get(shards)              # None for 1 shard
+            results[f"shards{shards}"] = {
+                "plans_per_s": n_requests / (pairs.b_seconds if pairs
+                                             else single_s),
+                "speedup": pairs.ratio if pairs else 1.0,
+                "hit_rate": stats["cache_hit_rate"],
+                "swaps": stats["swaps"],
+                "shed": stats["shed"],
+                "bit_identical": all(identical_flags),
+            }
     finally:
-        gc.enable()
         for fleet in fleets.values():
             fleet.close()
-    miss_speedup_4 = statistics.median(ratios)
-    equalcache_speedup = statistics.median(equalcache_ratios)
+    headline = versus[4]
 
     table = format_table(
-        ["fleet", "req/s", "vs 1 shard", "hit rate", "shed",
+        ["fleet", "best req/s", "vs 1 shard", "hit rate", "shed",
          "bit-identical"],
-        rows,
+        [[key.replace("shards", "shards="), row["plans_per_s"],
+          row["speedup"], row["hit_rate"], row["shed"],
+          "yes" if row["bit_identical"] else "NO"]
+         for key, row in results.items()],
         title=f"Fleet serving ({n_requests} zipf requests, "
               f"{len(tags)} tenants, working set {working_set} keys, "
               f"{shard_cache} cache entries/shard); paired-median "
-              f"4-shard speedup {miss_speedup_4:.2f}x "
-              f"(nocache {nocache_speedup:.2f}x, equal total cache "
-              f"{equalcache_speedup:.2f}x)",
+              f"4-shard speedup {headline.ratio:.2f}x "
+              f"(nocache {nocache.ratio:.2f}x, equal total cache "
+              f"{equalcache.ratio:.2f}x)",
     )
     return {
         "table": table,
@@ -319,10 +268,11 @@ def _serve_fleet_once(scale: BenchScale) -> dict:
         "n_tenants": len(tags),
         "working_set": working_set,
         "shard_cache_entries": shard_cache,
-        "miss_speedup_4": miss_speedup_4,
-        "miss_speedup_ratios": ratios,
-        "nocache_speedup_4": nocache_speedup,
-        "equalcache_speedup_4": equalcache_speedup,
+        "miss_speedup_4": headline.ratio,
+        "miss_speedup_4_iqr": headline.iqr,
+        "miss_speedup_ratios": headline.ratios,
+        "nocache_speedup_4": nocache.ratio,
+        "equalcache_speedup_4": equalcache.ratio,
         "equalcache_hit_rate": equalcache_hit_rate,
         "all_bit_identical": all(identical_flags),
     }

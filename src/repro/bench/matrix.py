@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench.cache import clear_caches
 from repro.bench.config import DEFAULT, BenchScale, remeasure_below
+from repro.bench.timing import seconds
 from repro.experiments.registry import cell
 from repro.metrics.tables import format_table
 
@@ -68,10 +68,7 @@ def _run_backend(
         store = ResultsStore(root=os.path.join(root, "results"),
                              scale=spec.scale_name)
         runner = Runner(store, workers=workers, backend=backend)
-        started = time.perf_counter()
-        summary = runner.run(spec)
-        wall = time.perf_counter() - started
-        return wall, summary
+        return seconds(lambda: runner.run(spec))
     finally:
         if saved is None:
             os.environ.pop(CACHE_DIR_ENV, None)

@@ -21,14 +21,13 @@ with byte-identity asserted before any throughput number is believed.
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.bench.cache import get_workload1, pretrain_dace
 from repro.bench.config import DEFAULT, BenchScale, remeasure_below
+from repro.bench.timing import closed_loop, paired, seconds
 from repro.experiments.registry import cell
 from repro.featurize.catcher import catch_plan
 from repro.metrics.tables import format_table
@@ -72,19 +71,8 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     n_plans = min(1000, max(5 * scale.queries_per_db, 5 * len(base_plans)))
     plans = [base_plans[i % len(base_plans)] for i in range(n_plans)]
 
-    def timed(fn, rounds: int = 1) -> float:
-        # Fast paths finish a pass in single-digit ms, where one
-        # scheduler preemption can halve the measured rate: keep the
-        # best of a few rounds for those.
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return n_plans / best
-
     # Legacy loop: what every caller paid before the serving runtime.
-    single_qps = timed(lambda: [
+    per_plan = lambda: seconds(lambda: [
         _legacy_predict_plan(dace.model, dace.encoder, plan)
         for plan in plans
     ])
@@ -94,35 +82,39 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     uncached = EstimatorService(
         dace.model, dace.encoder, batch_size=batch_size, cache_size=0,
     )
-    chunked_qps = timed(lambda: [
+    chunked = paired(per_plan, lambda: seconds(lambda: [
         uncached.predict_plans(plans[start:start + batch_size])
         for start in range(0, n_plans, batch_size)
-    ])
+    ]))
 
     # One batched call, still uncached.
-    batched_qps = timed(lambda: uncached.predict_plans(plans), rounds=3)
+    batched = paired(per_plan,
+                     lambda: seconds(lambda: uncached.predict_plans(plans)))
 
     # Warm cache: every plan served from the fingerprint LRU.
-    cached = EstimatorService(
+    cached_service = EstimatorService(
         dace.model, dace.encoder, batch_size=batch_size,
         cache_size=max(len(base_plans), 1),
     )
-    cached.predict_plans(plans)            # warm
-    cached.reset_stats()
-    cached_qps = timed(lambda: cached.predict_plans(plans), rounds=3)
-    stats = cached.cache_stats
+    cached_service.predict_plans(plans)            # warm
+    cached_service.reset_stats()
+    cached = paired(
+        per_plan, lambda: seconds(lambda: cached_service.predict_plans(plans))
+    )
+    stats = cached_service.cache_stats
 
-    rows: List[list] = []
-    results = {}
-    for name, qps in [("per-plan", single_qps),
-                      ("chunked", chunked_qps),
-                      ("batched", batched_qps),
-                      ("cached", cached_qps)]:
-        rows.append([name, qps, qps / single_qps])
-        results[name] = {"plans_per_s": qps, "speedup": qps / single_qps}
+    paths = {"chunked": chunked, "batched": batched, "cached": cached}
+    per_plan_s = min(pairs.a_seconds for pairs in paths.values())
+    results = {"per-plan": {"plans_per_s": n_plans / per_plan_s,
+                            "speedup": 1.0}}
+    for name, pairs in paths.items():
+        results[name] = {"plans_per_s": n_plans / pairs.b_seconds,
+                         "speedup": pairs.ratio}
 
     table = format_table(
-        ["path", "plans/s", "speedup"], rows,
+        ["path", "best plans/s", "speedup"],
+        [[name, row["plans_per_s"], row["speedup"]]
+         for name, row in results.items()],
         title=f"Serving throughput ({n_plans} plans, "
               f"batch={batch_size}, "
               f"cache hit rate {stats.hit_rate:.0%})",
@@ -131,9 +123,11 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
         "table": table,
         "results": results,
         "n_plans": n_plans,
-        "chunked_speedup": chunked_qps / single_qps,
-        "batched_speedup": batched_qps / single_qps,
-        "cached_speedup": cached_qps / single_qps,
+        "chunked_speedup": chunked.ratio,
+        "batched_speedup": batched.ratio,
+        "batched_speedup_iqr": batched.iqr,
+        "cached_speedup": cached.ratio,
+        "cached_speedup_iqr": cached.iqr,
         "cache_hit_rate": stats.hit_rate,
     }
 
@@ -175,14 +169,11 @@ def _serve_fused_once(scale: BenchScale) -> dict:
 
     Every path's predictions are checked byte-for-byte equal before any
     number is reported, and the kernel itself is raced against
-    ``model.infer`` on one padded bucket.  The headline ratio uses the
-    same interleaved-pairs protocol as :func:`serve_concurrency`
-    (machine-wide drift hits both sides of a pair and cancels); the
-    cell's ``fused_speedup`` check holds it at >= 2x for batches >= 32.
+    ``model.infer`` on one padded bucket.  Every ratio is a
+    :func:`~repro.bench.timing.paired` median; the cell's
+    ``fused_speedup`` check holds per-plan over fused at >= 2x for
+    batches >= 32.
     """
-    import gc
-    import statistics
-
     from repro.serve.fused import FusedInferStep
 
     dace = pretrain_dace(scale, exclude="imdb")
@@ -227,53 +218,37 @@ def _serve_fused_once(scale: BenchScale) -> dict:
         step.forward(kernel_batch), dace.model.infer(kernel_batch)
     ))
 
-    def best_of(fn, rounds: int) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    run_per_plan = lambda: [per_plan.predict_plan(plan) for plan in plans]
-    run_per_layer = lambda: per_layer.predict_plans(plans)
-    run_fused = lambda: fused.predict_plans(plans)
-    run_infer = lambda: dace.model.infer(kernel_batch)
-    run_kernel = lambda: step.forward(kernel_batch)
-
-    gc.collect()
-    gc.disable()
-    try:
-        for warm in (run_per_plan, run_per_layer, run_fused):
-            warm()
-        # Interleaved pairs: per-plan vs fused, median ratio across pairs.
-        ratios = []
-        per_plan_s = per_layer_s = fused_s = float("inf")
-        for _ in range(5):
-            pair_plan = best_of(run_per_plan, 2)
-            pair_fused = best_of(run_fused, 2)
-            per_plan_s = min(per_plan_s, pair_plan)
-            fused_s = min(fused_s, pair_fused)
-            ratios.append(pair_plan / pair_fused)
-        per_layer_s = best_of(run_per_layer, 4)
-        infer_s = best_of(run_infer, 30)
-        kernel_s = best_of(run_kernel, 30)
-    finally:
-        gc.enable()
-    fused_speedup = statistics.median(ratios)
+    per_plan_run = lambda: seconds(
+        lambda: [per_plan.predict_plan(plan) for plan in plans]
+    )
+    fused_pairs = paired(
+        per_plan_run, lambda: seconds(lambda: fused.predict_plans(plans))
+    )
+    batched_pairs = paired(
+        per_plan_run, lambda: seconds(lambda: per_layer.predict_plans(plans))
+    )
+    # One bucket's forward is well under a millisecond: more rounds.
+    kernel_pairs = paired(
+        lambda: seconds(lambda: dace.model.infer(kernel_batch)),
+        lambda: seconds(lambda: step.forward(kernel_batch)),
+        rounds=6,
+    )
+    per_plan_s = min(fused_pairs.a_seconds, batched_pairs.a_seconds)
+    per_layer_s = batched_pairs.b_seconds
+    fused_s = fused_pairs.b_seconds
 
     rows = [
         ["per-plan infer", per_plan_s / n_plans * 1e6, 1.0],
         ["batched per-layer", per_layer_s / n_plans * 1e6,
-         per_plan_s / per_layer_s],
-        ["batched fused", fused_s / n_plans * 1e6, per_plan_s / fused_s],
+         batched_pairs.ratio],
+        ["batched fused", fused_s / n_plans * 1e6, fused_pairs.ratio],
     ]
     table = format_table(
-        ["path", "us/plan", "speedup"], rows,
+        ["path", "best us/plan", "speedup"], rows,
         title=f"Fused serving forward ({n_plans} unique plans, "
               f"batch={batch_size}, cache-miss); paired-median fused "
-              f"speedup {fused_speedup:.2f}x; kernel vs infer "
-              f"{infer_s / kernel_s:.2f}x on ({len(bucket)}, "
+              f"speedup {fused_pairs.ratio:.2f}x; kernel vs infer "
+              f"{kernel_pairs.ratio:.2f}x on ({len(bucket)}, "
               f"{kernel_batch.max_nodes}) bucket",
     )
     return {
@@ -283,10 +258,11 @@ def _serve_fused_once(scale: BenchScale) -> dict:
         "per_plan_seconds": per_plan_s,
         "per_layer_seconds": per_layer_s,
         "fused_seconds": fused_s,
-        "fused_speedup": fused_speedup,
-        "fused_speedup_ratios": ratios,
-        "batched_speedup": per_plan_s / per_layer_s,
-        "kernel_speedup": infer_s / kernel_s,
+        "fused_speedup": fused_pairs.ratio,
+        "fused_speedup_iqr": fused_pairs.iqr,
+        "fused_speedup_ratios": fused_pairs.ratios,
+        "batched_speedup": batched_pairs.ratio,
+        "kernel_speedup": kernel_pairs.ratio,
         "bit_identical": identical,
         "kernel_bit_identical": kernel_identical,
     }
@@ -330,22 +306,14 @@ def _serve_concurrency_once(scale: BenchScale) -> dict:
     coalesced batches bit-identical to the serial path, whatever the
     request interleaving.
 
-    Measurement notes.  The workload keeps only plans in the service's
-    base padding bucket, so every request does identical padded work and
-    each flush is exactly one forward — the comparison isolates request
-    coalescing instead of mixing in the workload's bucket composition.
-    The headline ``miss_speedup_8`` uses interleaved measurement pairs
-    (w=1 then w=8, each the best of two passes, median ratio across
-    pairs): machine-wide slowdowns hit both sides of a pair and cancel,
-    where a single w=1/w=8 comparison taken seconds apart would not.
-    The garbage collector is paused while the clock runs — a gen-0 sweep
-    landing inside one side of a pair is pure noise.
+    The workload keeps only plans in the service's base padding bucket,
+    so every request does identical padded work and each flush is
+    exactly one forward: the comparison isolates request coalescing
+    instead of mixing in the workload's bucket composition.  Every
+    ``vs w=1`` figure, the headline ``miss_speedup_8`` among them, is a
+    :func:`~repro.bench.timing.paired` median against the single-client
+    pool on the same workload.
     """
-    import gc
-    import statistics
-
-    from repro.featurize.catcher import catch_plan
-
     dace = pretrain_dace(scale, exclude="imdb")
     base = get_workload1(scale)["imdb"]
     # One padding bucket: identical per-request work (see docstring).
@@ -372,30 +340,6 @@ def _serve_concurrency_once(scale: BenchScale) -> dict:
     )
     reference = serial.predict_plans(plans)
 
-    def run_clients(pool, workers) -> tuple:
-        out = [0.0] * n_plans
-        # workers + 1: the main thread joins the barrier too, so the
-        # clock starts when every client is spawned and ready — thread
-        # start-up cost stays off the measurement.
-        barrier = threading.Barrier(workers + 1)
-
-        def client(offset: int) -> None:
-            barrier.wait()
-            for i in range(offset, n_plans, workers):
-                out[i] = pool.predict_plan(plans[i])
-
-        clients = [
-            threading.Thread(target=client, args=(offset,))
-            for offset in range(workers)
-        ]
-        for thread in clients:
-            thread.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for thread in clients:
-            thread.join()
-        return time.perf_counter() - start, out
-
     def make_pool(workers: int, warm: bool) -> ConcurrentEstimatorService:
         cache = max(len(base_plans), 1) if warm else 0
         service = EstimatorService(
@@ -406,82 +350,63 @@ def _serve_concurrency_once(scale: BenchScale) -> dict:
             service.predict_plans(plans)
         return pool
 
-    identical_flags: List[bool] = []
+    identical: Dict[tuple, List[bool]] = {}
 
-    def check(out) -> None:
-        identical_flags.append(bool(np.array_equal(out, reference)))
+    def replay(pool, label: str, workers: int):
+        """A closed-loop measurement whose every answer is checked."""
+        def measure():
+            elapsed, out = closed_loop(
+                lambda i: pool.predict_plan(plans[i]), n_plans, workers
+            )
+            identical.setdefault((label, workers), []).append(
+                bool(np.array_equal(out, reference))
+            )
+            return elapsed, out
+        return measure
 
-    worker_counts = (1, 4, 8)
-    rows: List[list] = []
     results: dict = {}
-    gc.collect()
-    gc.disable()
-    try:
-        for warm, label in ((False, "cache-miss"), (True, "cache-hit")):
-            base_qps = None
-            for workers in worker_counts:
-                pool = make_pool(workers, warm)
-                run_clients(pool, workers)  # warm memos and pool threads
-                best, out = float("inf"), None
-                for _ in range(3):
-                    elapsed, out = run_clients(pool, workers)
-                    best = min(best, elapsed)
-                check(out)
-                flush = pool.metrics.histogram("serve.pool.flush_size")
-                mean_flush = flush.mean
-                pool.close()
-                qps = n_plans / best
-                if base_qps is None:
-                    base_qps = qps
-                rows.append([
-                    f"{label} w={workers}", qps, qps / base_qps, mean_flush,
-                    "yes" if identical_flags[-1] else "NO",
-                ])
-                results[f"{label}_w{workers}"] = {
-                    "plans_per_s": qps,
-                    "speedup": qps / base_qps,
-                    "mean_flush": mean_flush,
-                    "bit_identical": identical_flags[-1],
-                }
-
-        # Headline ratio: interleaved pairs, median across pairs.
-        pool_1 = make_pool(1, warm=False)
-        pool_8 = make_pool(8, warm=False)
-        run_clients(pool_1, 1)
-        run_clients(pool_8, 8)
-        ratios: List[float] = []
-        for _ in range(7):
-            best_1 = best_8 = float("inf")
-            for _ in range(2):
-                elapsed, out = run_clients(pool_1, 1)
-                best_1 = min(best_1, elapsed)
-            check(out)
-            for _ in range(2):
-                elapsed, out = run_clients(pool_8, 8)
-                best_8 = min(best_8, elapsed)
-            check(out)
-            ratios.append(best_1 / best_8)
-        pool_1.close()
-        pool_8.close()
-    finally:
-        gc.enable()
-    miss_speedup_8 = statistics.median(ratios)
+    pairs: dict = {}
+    for warm, label in ((False, "cache-miss"), (True, "cache-hit")):
+        pools = {workers: make_pool(workers, warm) for workers in (1, 4, 8)}
+        for workers in (4, 8):
+            pairs[label, workers] = paired(
+                replay(pools[1], label, 1),
+                replay(pools[workers], label, workers), pairs=7,
+            )
+        single_s = min(pairs[label, w].a_seconds for w in (4, 8))
+        for workers, pool in pools.items():
+            pool.close()
+            versus = pairs.get((label, workers))    # None for w=1 itself
+            results[f"{label}_w{workers}"] = {
+                "plans_per_s": n_plans / (versus.b_seconds if versus
+                                          else single_s),
+                "speedup": versus.ratio if versus else 1.0,
+                "mean_flush": pool.metrics.histogram(
+                    "serve.pool.flush_size").mean,
+                "bit_identical": all(identical[label, workers]),
+            }
+    miss, hit = pairs["cache-miss", 8], pairs["cache-hit", 8]
 
     table = format_table(
-        ["workload", "plans/s", "vs w=1", "mean flush", "bit-identical"],
-        rows,
+        ["workload", "best plans/s", "vs w=1", "mean flush",
+         "bit-identical"],
+        [[key.replace("_w", " w="), row["plans_per_s"], row["speedup"],
+          row["mean_flush"], "yes" if row["bit_identical"] else "NO"]
+         for key, row in results.items()],
         title=f"Concurrent serving throughput ({n_plans} plans, "
               f"closed-loop clients = workers, max_batch={batch_size}); "
-              f"paired-median miss speedup w=8: {miss_speedup_8:.2f}x",
+              f"paired-median miss speedup w=8: {miss.ratio:.2f}x",
     )
     return {
         "table": table,
         "results": results,
         "n_plans": n_plans,
-        "miss_speedup_8": miss_speedup_8,
-        "miss_speedup_ratios": ratios,
-        "hit_speedup_8": results["cache-hit_w8"]["speedup"],
-        "all_bit_identical": all(identical_flags),
+        "miss_speedup_8": miss.ratio,
+        "miss_speedup_8_iqr": miss.iqr,
+        "miss_speedup_ratios": miss.ratios,
+        "hit_speedup_8": hit.ratio,
+        "hit_speedup_8_iqr": hit.iqr,
+        "all_bit_identical": all(map(all, identical.values())),
     }
 
 
@@ -498,56 +423,44 @@ def obs_overhead(scale: BenchScale = DEFAULT) -> dict:
     latency it exists to explain.
 
     Measurement notes: the true cost is tens of nanoseconds per cache
-    hit, far below the run-to-run noise of a millisecond-scale pass, so
-    three layers of noise control are stacked.  Trials alternate
-    null/live (cancels CPU frequency drift), each path keeps its minimum
-    (discards scheduler preemption), and the whole comparison repeats on
-    freshly built service pairs with the median taken — each service
-    owns its cached arrays, and an unlucky heap layout biases every
-    trial of one run the same way, which no amount of interleaving can
-    cancel.
+    hit, far below the run-to-run noise of a millisecond-scale pass.  So
+    the :func:`~repro.bench.timing.paired` comparison repeats on freshly
+    built service pairs and the median pair is kept: each service owns
+    its cached arrays, and an unlucky heap layout biases every trial of
+    one pair the same way, which no amount of interleaving can cancel.
     """
     dace = pretrain_dace(scale, exclude="imdb")
     base = get_workload1(scale)["imdb"]
     base_plans = [sample.plan for sample in base]
     n_plans = min(1000, max(5 * scale.queries_per_db, 5 * len(base_plans)))
     plans = [base_plans[i % len(base_plans)] for i in range(n_plans)]
+    passes = 3
 
-    def warm_service(metrics) -> EstimatorService:
+    def timed_passes(metrics):
+        """A measurement of warm-cache passes through a fresh service."""
         service = EstimatorService(
             dace.model, dace.encoder, batch_size=dace.training.batch_size,
             cache_size=max(len(base_plans), 1), metrics=metrics,
         )
         service.predict_plans(plans)
-        return service
+        # Several passes per run: one warm-cache pass is only a few ms,
+        # where allocator noise swamps a 5% effect.
+        return lambda: seconds(
+            lambda: [service.predict_plans(plans) for _ in range(passes)]
+        )
 
-    def timed(service, passes: int = 3) -> float:
-        # Time several passes per trial: one warm-cache pass is only a
-        # few ms, where timer granularity and allocator noise swamp a
-        # 5% effect.
-        start = time.perf_counter()
-        for _ in range(passes):
-            service.predict_plans(plans)
-        return (time.perf_counter() - start) / passes
-
-    def measure_pair() -> tuple:
-        instrumented = warm_service(MetricsRegistry())
-        uninstrumented = warm_service(NULL_REGISTRY)
-        timed(uninstrumented, passes=1)
-        timed(instrumented, passes=1)
-        null_s = live_s = float("inf")
-        for _ in range(6):
-            null_s = min(null_s, timed(uninstrumented))
-            live_s = min(live_s, timed(instrumented))
-        return null_s, live_s
-
-    samples = [measure_pair() for _ in range(3)]
-    samples.sort(key=lambda pair: pair[1] / pair[0])
-    null_s, live_s = samples[len(samples) // 2]
-    overhead = live_s / null_s - 1.0
+    samples = sorted(
+        (paired(timed_passes(MetricsRegistry()), timed_passes(NULL_REGISTRY),
+                pairs=6, rounds=3) for _ in range(3)),
+        key=lambda pairs: pairs.ratio,
+    )
+    median = samples[len(samples) // 2]
+    null_s = median.b_seconds / passes
+    live_s = median.a_seconds / passes
+    overhead = median.ratio - 1.0
 
     table = format_table(
-        ["path", "warm ms", "plans/s"],
+        ["path", "best warm ms", "best plans/s"],
         [["null registry", null_s * 1e3, n_plans / null_s],
          ["instrumented", live_s * 1e3, n_plans / live_s]],
         title=f"Instrumentation overhead ({n_plans} warm-cache plans): "
@@ -559,4 +472,5 @@ def obs_overhead(scale: BenchScale = DEFAULT) -> dict:
         "null_seconds": null_s,
         "instrumented_seconds": live_s,
         "overhead": overhead,
+        "overhead_iqr": [q - 1.0 for q in median.iqr],
     }

@@ -33,12 +33,12 @@ where per-epoch featurization rivals the optimization arithmetic.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.bench.config import DEFAULT, BenchScale, remeasure_below
+from repro.bench.timing import seconds
 from repro.experiments.registry import cell
 from repro.catalog.zoo import load_database
 from repro.core.model import DACEConfig, DACEModel
@@ -248,10 +248,8 @@ def lora_control(
         model.load_state_dict(pretrained.state_dict())
         model.enable_lora()
         trainer = Trainer(model, encoder, config)
-        start = time.perf_counter()
-        trainer.fit(train)
-        seconds = time.perf_counter() - start
-        runs[name] = (model, trainer.history, seconds)
+        elapsed, _ = seconds(lambda: trainer.fit(train))
+        runs[name] = (model, trainer.history, elapsed)
     graph, graph_history, graph_s = runs["graph"]
     fused, fused_history, fused_s = runs["fused"]
     graph_eps = len(graph_history) / graph_s
@@ -297,9 +295,9 @@ def _train_throughput_once(scale: BenchScale) -> dict:
         DACEConfig(input_dim=encoder_base.dim),
         rng=np.random.default_rng(scale.seed),
     )
-    start = time.perf_counter()
-    base_history = legacy_fit(model_base, encoder_base, config, train)
-    base_seconds = time.perf_counter() - start
+    base_seconds, base_history = seconds(
+        lambda: legacy_fit(model_base, encoder_base, config, train)
+    )
 
     encoder_pipe = PlanEncoder(extra_features=True)
     model_pipe = DACEModel(
@@ -307,9 +305,7 @@ def _train_throughput_once(scale: BenchScale) -> dict:
         rng=np.random.default_rng(scale.seed),
     )
     trainer = Trainer(model_pipe, encoder_pipe, config)
-    start = time.perf_counter()
-    trainer.fit(train)
-    pipe_seconds = time.perf_counter() - start
+    pipe_seconds, _ = seconds(lambda: trainer.fit(train))
     pipe_history = trainer.history
 
     epochs = len(base_history)

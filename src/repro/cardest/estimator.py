@@ -15,12 +15,12 @@ DACE-D (better general knowledge without true cardinalities).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.catalog.datagen import NULL_SENTINEL, Database
-from repro.catalog.stats import TableStats, collect_table_stats
+from repro.catalog.stats import TableStats
 from repro.cardest.spn import SPNTableEstimator
 from repro.engine.cardinality import MIN_SELECTIVITY, CardinalityEstimator
 from repro.engine.machines import M1, MachineProfile

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.catalog.datagen import NULL_SENTINEL
 from repro.sql.query import Predicate
 
 MIN_CLUSTER_ROWS = 200      # stop splitting rows below this

@@ -11,7 +11,7 @@ distribution (EDQO) that DACE learns to correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 

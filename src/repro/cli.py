@@ -160,10 +160,7 @@ _METRIC_EXPORTERS = {
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Replay a workload through the serving runtime and report stats."""
-    import math
-    import threading
-    import time
-
+    from repro.bench.timing import closed_loop, seconds
     from repro.serve import ChaosEstimator, ConcurrentEstimatorService, \
         CostFallback, ResilientEstimator
 
@@ -185,20 +182,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Chaos replay: inject seeded faults under the resilience tier and
     # verify the serving path degrades instead of raising.
-    resilient = None
     estimator = dace.service
     if args.chaos is not None:
         estimator = ChaosEstimator.with_fault_rate(
             estimator, args.chaos, seed=args.chaos_seed
         )
     if args.chaos is not None or args.resilient:
-        resilient = ResilientEstimator(
+        estimator = ResilientEstimator(
             estimator,
             fallback=CostFallback(dace.encoder.scaler),
             metrics=dace.metrics,
         )
-        estimator = resilient
-    pool = None
     if args.workers:
         # Concurrent replay: N closed-loop client threads hammer the
         # thread-pool front-end with single-plan calls; the leader drain
@@ -206,88 +200,47 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool = ConcurrentEstimatorService(
             estimator, workers=args.workers, max_batch=args.max_batch
         )
-
-        def _replay_concurrent():
-            out = [0.0] * len(plans)
-
-            def client(offset):
-                for i in range(offset, len(plans), args.workers):
-                    out[i] = pool.predict_plan(plans[i])
-
-            clients = [
-                threading.Thread(target=client, args=(offset,))
-                for offset in range(args.workers)
-            ]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join()
-            return out
-
-    start = time.perf_counter()
-    predictions = []
-    batches = 0
-    for _ in range(repeats):
-        if pool is not None:
-            predictions = _replay_concurrent()
-        else:
-            # Serial replay: price the workload in --max-batch chunks.
-            predictions = []
-            for offset in range(0, len(plans), args.max_batch):
-                chunk = plans[offset:offset + args.max_batch]
-                predictions.extend(estimator.predict_plans(chunk))
-                batches += 1
-    elapsed = time.perf_counter() - start
-    if pool is not None:
+        elapsed, predictions = closed_loop(
+            lambda i: pool.predict_plan(plans[i % len(plans)]),
+            len(plans) * repeats, args.workers,
+        )
         pool.close()
-
-    served = len(plans) * repeats
-    stats = dace.service.cache_stats
-    print(f"served {served} predictions over {len(plans)} plans "
-          f"(x{repeats}) in {elapsed * 1e3:.1f} ms "
-          f"({served / max(elapsed, 1e-9):.0f} plans/s)")
-    if pool is not None:
         drains = dace.metrics.histogram("serve.pool.flush_size")
-        print(f"pool: workers={args.workers} drains={drains.count} "
-              f"mean_flush={drains.mean:.1f} (max_batch={args.max_batch})")
+        replay_line = (f"pool: workers={args.workers} drains={drains.count} "
+                       f"mean_flush={drains.mean:.1f} "
+                       f"(max_batch={args.max_batch})")
     else:
-        print(f"batches: {batches} (max_batch={args.max_batch})")
-    print(f"cache: {stats}")
+        # Serial replay: price the workload in --max-batch chunks.
+        chunks = [plans[offset:offset + args.max_batch]
+                  for offset in range(0, len(plans), args.max_batch)]
+        elapsed, predictions = seconds(lambda: [
+            value for _ in range(repeats) for chunk in chunks
+            for value in estimator.predict_plans(chunk)
+        ])
+        replay_line = (f"batches: {len(chunks) * repeats} "
+                       f"(max_batch={args.max_batch})")
+
     fused_fwd = dace.metrics.counter("serve.fused.forwards").value
     fused_fb = dace.metrics.counter("serve.fused.fallbacks").value
-    print(f"fused: forwards={fused_fwd} fallbacks={fused_fb}"
-          + (" (disabled)" if args.no_fused else ""))
-    if predictions:
-        print(f"latency range: {min(predictions):.3f} .. "
-              f"{max(predictions):.3f} ms")
-        finite = sum(1 for value in predictions if math.isfinite(value))
-        if finite != len(predictions):
-            print(f"WARNING: {len(predictions) - finite} non-finite "
-                  f"predictions escaped the serving path")
-    if resilient is not None:
-        degraded = dace.metrics.counter("resilience.degraded").value
-        print(f"resilience: degraded={degraded} "
-              f"({resilient.degraded_fraction:.1%} of predictions)")
-        if args.chaos is not None:
-            chaos = resilient.estimator
-            print(f"chaos: fault_rate={args.chaos:.0%} "
-                  f"injected={chaos.injected}")
-    if args.metrics:
-        report = _METRIC_EXPORTERS[args.metrics_format](dace.metrics)
-        with open(args.metrics, "w") as handle:
-            handle.write(report if report.endswith("\n") else report + "\n")
-        print(f"metrics ({args.metrics_format}) written to {args.metrics}")
-    return 0
+    lines = [
+        replay_line,
+        f"cache: {dace.service.cache_stats}",
+        f"fused: forwards={fused_fwd} fallbacks={fused_fb}"
+        + (" (disabled)" if args.no_fused else ""),
+    ]
+    if args.chaos is not None:
+        # The resilience tier wraps the fault injector.
+        lines.append(f"chaos: fault_rate={args.chaos:.0%} "
+                     f"injected={estimator.estimator.injected}")
+    return _serve_report(args, dace.metrics, len(plans), repeats, elapsed,
+                         predictions, lines)
 
 
 def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
     """Replay a (optionally multi-tenant) workload through a FleetGateway."""
-    import math
-    import threading
-    import time
-
     import numpy as np
 
+    from repro.bench.timing import closed_loop
     from repro.serve import ChaosEstimator, FleetGateway, ModelRegistry
 
     shard_wrapper = None
@@ -323,44 +276,40 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
     tenant_of = [tags[i % len(tags)] for i in range(len(plans))]
 
     clients = 2 * args.shards
-    shed_total = 0
-
-    def _replay():
-        out = [0.0] * len(plans)
-
-        def client(offset):
-            for i in range(offset, len(plans), clients):
-                out[i] = fleet.predict_plan(plans[i], tenant=tenant_of[i])
-
-        threads = [
-            threading.Thread(target=client, args=(offset,))
-            for offset in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return out
-
-    start = time.perf_counter()
-    predictions = []
-    for _ in range(repeats):
-        predictions = _replay()
-    elapsed = time.perf_counter() - start
+    elapsed, predictions = closed_loop(
+        lambda i: fleet.predict_plan(plans[i % len(plans)],
+                                     tenant=tenant_of[i % len(plans)]),
+        len(plans) * repeats, clients,
+    )
     stats = fleet.stats()
     fleet.close()
 
-    served = len(plans) * repeats
-    print(f"served {served} predictions over {len(plans)} plans "
+    lines = [
+        f"fleet: shards={args.shards} tenants={len(tags)} "
+        f"clients={clients} routed={stats['routed']:.0f} "
+        f"shed={stats['shed']:.0f} swaps={stats['swaps']:.0f}",
+        f"fleet cache: hits={stats['cache_hits']:.0f} "
+        f"misses={stats['cache_misses']:.0f} "
+        f"hit_rate={stats['cache_hit_rate']:.1%}",
+    ]
+    return _serve_report(args, dace.metrics, len(plans), repeats, elapsed,
+                         predictions, lines)
+
+
+def _serve_report(args: argparse.Namespace, metrics, n_plans: int,
+                  repeats: int, elapsed: float, predictions,
+                  lines: List[str]) -> int:
+    """Print a ``serve`` replay's report: throughput, ``lines``, the
+    latency range, warning on non-finite answers, and the resilience
+    tier's degraded share when it ran; write ``--metrics``."""
+    import math
+
+    served = n_plans * repeats
+    print(f"served {served} predictions over {n_plans} plans "
           f"(x{repeats}) in {elapsed * 1e3:.1f} ms "
           f"({served / max(elapsed, 1e-9):.0f} plans/s)")
-    print(f"fleet: shards={args.shards} tenants={len(tags)} "
-          f"clients={clients} routed={stats['routed']:.0f} "
-          f"shed={stats['shed']:.0f} swaps={stats['swaps']:.0f}")
-    print(f"fleet cache: hits={stats['cache_hits']:.0f} "
-          f"misses={stats['cache_misses']:.0f} "
-          f"hit_rate={stats['cache_hit_rate']:.1%}")
-    shed_total = int(stats["shed"])
+    for line in lines:
+        print(line)
     if predictions:
         print(f"latency range: {min(predictions):.3f} .. "
               f"{max(predictions):.3f} ms")
@@ -369,13 +318,12 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
             print(f"WARNING: {len(predictions) - finite} non-finite "
                   f"predictions escaped the serving path")
     if args.resilient or args.chaos is not None:
-        degraded = dace.metrics.counter("resilience.degraded").value
-        total = dace.metrics.counter("resilience.predictions").value
+        degraded = metrics.counter("resilience.degraded").value
+        total = metrics.counter("resilience.predictions").value
         print(f"resilience: degraded={degraded} "
-              f"({degraded / total if total else 0.0:.1%} of predictions) "
-              f"shed={shed_total}")
+              f"({degraded / total if total else 0.0:.1%} of predictions)")
     if args.metrics:
-        report = _METRIC_EXPORTERS[args.metrics_format](dace.metrics)
+        report = _METRIC_EXPORTERS[args.metrics_format](metrics)
         with open(args.metrics, "w") as handle:
             handle.write(report if report.endswith("\n") else report + "\n")
         print(f"metrics ({args.metrics_format}) written to {args.metrics}")

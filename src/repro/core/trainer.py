@@ -17,7 +17,7 @@ are bit-identical to re-encoding every epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ the resulting systematic errors are precisely the EDQO that DACE learns.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 

@@ -17,7 +17,6 @@ cost units; the gap between the two is the EDQO the paper's models learn.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 

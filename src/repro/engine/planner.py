@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.catalog.schema import Schema
 from repro.engine.cardinality import CardinalityEstimator
 from repro.engine.cost_model import CostModel
 from repro.engine.plan import PlanNode
-from repro.sql.query import Join, Predicate, Query
+from repro.sql.query import Join, Query
 
 MAX_DP_TABLES = 9
 GATHER_MIN_PAGES = 2000  # parallel seq scan threshold (pages)

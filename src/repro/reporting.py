@@ -8,7 +8,7 @@ EXPLAIN ANALYZE output, and the operator types driving cardinality error.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

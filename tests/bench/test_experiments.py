@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.bench.experiments as experiments
+import repro.bench.timing as timing
 from repro.core import TrainingConfig
 
 from repro.bench import (
@@ -187,7 +188,7 @@ class TestTab2EpochCounting:
 
         # Every timed region spans exactly one fake second.
         clock = itertools.count()
-        monkeypatch.setattr(experiments, "time",
+        monkeypatch.setattr(timing, "time",
                             SimpleNamespace(perf_counter=lambda: next(clock)))
         w3 = get_workload3(TINY)
         # A 1e-12 step never improves validation loss by the 1e-5 early-

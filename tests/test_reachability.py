@@ -163,20 +163,74 @@ def test_walk_counts_lazy_imports():
     assert "repro.core.ensemble" in set(edges("x", tree))
 
 
+def read_names(tree: ast.AST) -> Set[str]:
+    """Every bare name ``tree`` reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def used_names(path: pathlib.Path) -> Set[str]:
-    """Every name ``path`` reads, looks up as an attribute, imports or
-    spells as a string."""
-    names = set()
-    for node in ast.walk(parse(path)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+    """Every name ``path`` reads, looks up as an attribute or spells as a
+    string; an imported name counts where it is read, under its alias."""
+    tree = parse(path)
+    names = read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+            names.update(alias.name for alias in node.names
+                         if (alias.asname or alias.name) in names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
+
+
+def unread_imports(path: pathlib.Path) -> Iterator[str]:
+    """``line: name`` for each name ``path`` imports and never reads.
+
+    A package ``__init__`` reads what its ``__all__`` lists; an import
+    marked ``# noqa: F401`` is kept for its side effect.
+    """
+    tree = parse(path)
+    read = read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    lines = path.read_text().splitlines()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "noqa: F401" in line
+                for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                yield f"{node.lineno}: {alias.name}"
+
+
+def test_no_source_file_imports_a_name_it_never_reads():
+    unread = [
+        f"{path.relative_to(SRC)}:{entry}"
+        for path in sorted((SRC / PACKAGE).rglob("*.py"))
+        for entry in unread_imports(path)
+    ]
+    assert not unread, f"imported but never read: {unread}"
+
+
+def test_an_import_counts_as_a_use_only_where_it_is_read(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from a import read, unread, aliased as alias\n"
+        "import side_effect  # noqa: F401\n"
+        "read()\nalias()\n"
+    )
+    assert used_names(source) >= {"read", "aliased"}
+    assert "unread" not in used_names(source)
+    assert list(unread_imports(source)) == ["1: unread"]
 
 
 # Callers satisfy a typing.Protocol structurally and never name it.
