@@ -13,10 +13,10 @@ loop (encode one plan, run one autograd forward, repeat):
 - **cached** — a warm EstimatorService serving the whole workload from
   its fingerprint LRU.
 
-:func:`serve_fused` isolates the serving *forward* dispatch: plan-at-a-
-time per-layer ``Module.infer`` vs bucketed batches through the fused
-structure-of-arrays kernel (:class:`~repro.serve.fused.FusedInferStep`),
-with byte-identity asserted before any throughput number is believed.
+:func:`serve_fused` isolates cache-miss batching: plan-at-a-time
+``predict_plan`` vs bucketed batches through
+:class:`~repro.serve.fused.FusedInferStep`, with byte-identity asserted
+before any throughput number is believed.
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     }
 
 
-# Byte-identity is non-negotiable (fused == per-layer == per-plan), and
-# bucketed fused batches (>= 32) must at least halve the cache-miss
-# per-plan latency of plan-at-a-time Module.infer serving.
+# Byte-identity is non-negotiable (batched == per-plan, and the fused
+# step == the autograd forward), and bucketed fused batches (>= 32) must
+# at least halve the cache-miss per-plan latency of plan-at-a-time
+# serving.
 @cell("fusedserve", checks={
     "bit_identical": lambda r, c: r["bit_identical"],
     "kernel_bit_identical": lambda r, c: r["kernel_bit_identical"],
@@ -142,7 +143,7 @@ def serve_throughput(scale: BenchScale = DEFAULT) -> dict:
     "fused_speedup": lambda r, c: r["fused_speedup"] >= MIN_FUSED_SPEEDUP,
 })
 def serve_fused(scale: BenchScale = DEFAULT) -> dict:
-    """Fused bucket forwards vs plan-at-a-time ``Module.infer`` serving.
+    """Fused bucket forwards vs plan-at-a-time serving.
 
     A run under the speedup gate is re-measured once; see
     :func:`_serve_fused_once` for the protocol.
@@ -154,23 +155,21 @@ def serve_fused(scale: BenchScale = DEFAULT) -> dict:
 
 
 def _serve_fused_once(scale: BenchScale) -> dict:
-    """One measurement of the three cache-miss serving paths.
+    """One measurement of the two cache-miss serving paths.
 
-    Three cache-miss paths over one workload of fingerprint-unique plans
-    (uniqueness keeps in-call dedup from shrinking one side's work):
+    Two cache-miss paths over one workload of fingerprint-unique plans
+    (uniqueness keeps in-call dedup from shrinking one side's work), both
+    on default services:
 
-    - **per-plan** — single-plan ``predict_plan`` calls through a
-      ``fused=False`` service: the serving hot path before this kernel,
-      every plan paying its own encode + per-layer ``Module.infer``;
-    - **batched per-layer** — ``predict_plans`` with ``fused=False``:
-      bucketed batching, per-layer forward;
-    - **batched fused** — ``predict_plans`` through the
-      :class:`~repro.serve.fused.FusedInferStep` kernel (the default).
+    - **per-plan** — single-plan ``predict_plan`` calls, every plan
+      paying its own encode and forward;
+    - **batched fused** — ``predict_plans`` in padding buckets through
+      :class:`~repro.serve.fused.FusedInferStep`.
 
-    Every path's predictions are checked byte-for-byte equal before any
-    number is reported, and the kernel itself is raced against
-    ``model.infer`` on one padded bucket.  Every ratio is a
-    :func:`~repro.bench.timing.paired` median; the cell's
+    Both paths' predictions are checked byte-for-byte equal before any
+    number is reported, and the fused step is checked and raced against
+    the autograd ``DACEModel.forward`` on one padded bucket.  Every ratio
+    is a :func:`~repro.bench.timing.paired` median; the cell's
     ``fused_speedup`` check holds per-plan over fused at >= 2x for
     batches >= 32.
     """
@@ -187,25 +186,19 @@ def _serve_fused_once(scale: BenchScale) -> dict:
     n_plans = len(plans)
     batch_size = max(32, dace.training.batch_size)
 
-    def service(fused) -> EstimatorService:
+    def service() -> EstimatorService:
         return EstimatorService(
-            dace.model, dace.encoder, batch_size=batch_size,
-            cache_size=0, fused=fused,
+            dace.model, dace.encoder, batch_size=batch_size, cache_size=0,
         )
 
-    per_plan = service(False)
-    per_layer = service(False)
-    fused = service(None)
-    assert fused.fused_active
+    per_plan = service()
+    fused = service()
 
     # Byte-identity first: a speedup that moves bits is a wrong answer.
     reference = np.array([per_plan.predict_plan(plan) for plan in plans])
-    identical = (
-        bool(np.array_equal(per_layer.predict_plans(plans), reference))
-        and bool(np.array_equal(fused.predict_plans(plans), reference))
-    )
+    identical = bool(np.array_equal(fused.predict_plans(plans), reference))
 
-    # Kernel vs per-layer forward on one padded bucket (model work only).
+    # Fused step vs the autograd forward on one padded bucket.
     caught = [catch_plan(plan) for plan in plans]
     bucket = [c for c in caught if c.num_nodes <= PAD_BASE]
     bucket = (bucket or caught)[:batch_size]
@@ -214,40 +207,38 @@ def _serve_fused_once(scale: BenchScale) -> dict:
         pad_to=fused._pad_width(max(c.num_nodes for c in bucket)),
     )
     step = FusedInferStep(dace.model)
+
+    def autograd_forward():
+        with no_grad():
+            return dace.model(kernel_batch).data
+
     kernel_identical = bool(np.array_equal(
-        step.forward(kernel_batch), dace.model.infer(kernel_batch)
+        step.forward(kernel_batch), autograd_forward()
     ))
 
-    per_plan_run = lambda: seconds(
-        lambda: [per_plan.predict_plan(plan) for plan in plans]
-    )
     fused_pairs = paired(
-        per_plan_run, lambda: seconds(lambda: fused.predict_plans(plans))
-    )
-    batched_pairs = paired(
-        per_plan_run, lambda: seconds(lambda: per_layer.predict_plans(plans))
+        lambda: seconds(lambda: [per_plan.predict_plan(plan)
+                                 for plan in plans]),
+        lambda: seconds(lambda: fused.predict_plans(plans)),
     )
     # One bucket's forward is well under a millisecond: more rounds.
     kernel_pairs = paired(
-        lambda: seconds(lambda: dace.model.infer(kernel_batch)),
+        lambda: seconds(autograd_forward),
         lambda: seconds(lambda: step.forward(kernel_batch)),
         rounds=6,
     )
-    per_plan_s = min(fused_pairs.a_seconds, batched_pairs.a_seconds)
-    per_layer_s = batched_pairs.b_seconds
+    per_plan_s = fused_pairs.a_seconds
     fused_s = fused_pairs.b_seconds
 
     rows = [
         ["per-plan infer", per_plan_s / n_plans * 1e6, 1.0],
-        ["batched per-layer", per_layer_s / n_plans * 1e6,
-         batched_pairs.ratio],
         ["batched fused", fused_s / n_plans * 1e6, fused_pairs.ratio],
     ]
     table = format_table(
         ["path", "best us/plan", "speedup"], rows,
         title=f"Fused serving forward ({n_plans} unique plans, "
               f"batch={batch_size}, cache-miss); paired-median fused "
-              f"speedup {fused_pairs.ratio:.2f}x; kernel vs infer "
+              f"speedup {fused_pairs.ratio:.2f}x; kernel vs autograd "
               f"{kernel_pairs.ratio:.2f}x on ({len(bucket)}, "
               f"{kernel_batch.max_nodes}) bucket",
     )
@@ -256,12 +247,10 @@ def _serve_fused_once(scale: BenchScale) -> dict:
         "n_plans": n_plans,
         "batch_size": batch_size,
         "per_plan_seconds": per_plan_s,
-        "per_layer_seconds": per_layer_s,
         "fused_seconds": fused_s,
         "fused_speedup": fused_pairs.ratio,
         "fused_speedup_iqr": fused_pairs.iqr,
         "fused_speedup_ratios": fused_pairs.ratios,
-        "batched_speedup": batched_pairs.ratio,
         "kernel_speedup": kernel_pairs.ratio,
         "bit_identical": identical,
         "kernel_bit_identical": kernel_identical,
@@ -330,13 +319,8 @@ def _serve_concurrency_once(scale: BenchScale) -> dict:
     plans = [base_plans[i % len(base_plans)] for i in range(n_plans)]
     batch_size = dace.training.batch_size
 
-    # The reference is pinned to the per-layer path (fused=False): the
-    # pools below serve through the fused kernel, so byte-equality here
-    # re-proves fused == per-layer on every concurrent run, not just
-    # pool == serial.
     serial = EstimatorService(
         dace.model, dace.encoder, batch_size=batch_size, cache_size=0,
-        fused=False,
     )
     reference = serial.predict_plans(plans)
 

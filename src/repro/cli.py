@@ -170,8 +170,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "serves its misses on its own drain thread, with no pool"
         )
     dace = DACE.load(args.model)
-    if args.no_fused:
-        dace.service.disable_fused()
     dataset = _load_many(args.workload)
     plans = [sample.plan for sample in dataset]
     repeats = max(args.repeat, 1)
@@ -225,8 +223,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     lines = [
         replay_line,
         f"cache: {dace.service.cache_stats}",
-        f"fused: forwards={fused_fwd} fallbacks={fused_fb}"
-        + (" (disabled)" if args.no_fused else ""),
+        f"fused: forwards={fused_fwd} fallbacks={fused_fb}",
     ]
     if args.chaos is not None:
         # The resilience tier wraps the fault injector.
@@ -255,7 +252,6 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
         shards=args.shards,
         batch_size=args.max_batch,
         metrics=dace.metrics,
-        fused=False if args.no_fused else None,
         resilient=args.resilient or args.chaos is not None,
         shard_wrapper=shard_wrapper,
     )
@@ -671,11 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answer failed or non-finite predictions "
                             "from the optimizer-cost fallback, flagged, "
                             "even without --chaos")
-    serve.add_argument("--no-fused", action="store_true",
-                       help="pin cache-miss forwards to the per-layer "
-                            "Module.infer path instead of the fused "
-                            "serving kernel (byte-identical; for "
-                            "debugging and A/B timing)")
     serve.set_defaults(func=_cmd_serve)
 
     cache = sub.add_parser(

@@ -78,7 +78,6 @@ class DACE:
         seed: int = 0,
         resilient: bool = False,
         workers: Optional[int] = None,
-        fused: Optional[bool] = None,
         shards: Optional[int] = None,
     ) -> None:
         # Defaults are constructed per instance: a def-time default would
@@ -97,11 +96,9 @@ class DACE:
         self.trainer = Trainer(
             self.model, self.encoder, self.training, metrics=self.metrics
         )
-        # fused=None auto-selects the fused serving kernel (byte-identical
-        # to per-layer Module.infer); False pins the per-layer path.
         self.service = EstimatorService(
             self.model, self.encoder, batch_size=self.training.batch_size,
-            metrics=self.metrics, fused=fused,
+            metrics=self.metrics,
         )
         # With workers=N, predict* traffic funnels through a thread-pool
         # front-end that coalesces concurrent single-plan calls into
@@ -125,7 +122,6 @@ class DACE:
                 shards=shards,
                 batch_size=self.training.batch_size,
                 metrics=self.metrics,
-                fused=fused,
                 resilient=resilient,
             )
             if shards is not None else None

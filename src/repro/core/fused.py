@@ -18,11 +18,15 @@ pass for the exact op sequence of ``DACEModel.forward`` +
   pass stops at layer 1's adapter and sets weight gradients on the
   ``lora_a``/``lora_b`` factors alone.
 
-The contract is the same one :meth:`repro.nn.module.Module.infer` pins for
-serving: **every numpy operation mirrors the autograd path operation for
-operation, in the same order on the same shapes, so gradients and loss
-agree bit for bit.**  ``tests/core/test_fused_step.py`` enforces exact
-(``==``, not allclose) agreement against the graph path.
+Both steps run their forward half through the one graph-free DACE forward
+that serving runs too (:func:`~repro.core.model.attention_np` and
+:func:`~repro.core.model.head_np`); this module holds only the backward
+passes and the loss.  The contract: **every numpy operation mirrors the
+autograd path operation for operation, in the same order on the same
+shapes, so gradients and loss agree bit for bit.**
+``tests/core/test_fused_step.py`` enforces exact (``==``, not allclose)
+agreement against the graph path, and that each step's loss equals the
+loss of the serving forward ``DACEModel.infer`` on the same batch.
 
 Because the fused steps are only mirrors, they refuse anything they do
 not replicate exactly: non-``DACEModel`` models (subclasses may override
@@ -39,12 +43,12 @@ computed once per ``fit`` rather than once per step.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.model import DACEModel, attention_np, head_np
 from repro.featurize.encoder import EncodedBatch
-from repro.nn.attention import _NEG_INF
 from repro.nn.tensor import _unbroadcast
 
 
@@ -83,47 +87,11 @@ class _PerBatch:
 
 
 # ---------------------------------------------------------------------- #
-# The MLP head and the loss, shared by both steps
+# The head's backward pass and the loss, shared by both steps
 # ---------------------------------------------------------------------- #
-def _head_forward(model, hidden: np.ndarray, pre1: np.ndarray, lora: bool):
-    """The 3-layer MLP head from layer 1's base pre-activation ``pre1``.
-
-    Returns the (B, n, 1) output and what the backward pass needs.  With
-    ``lora`` each layer adds ``((x @ lora_b) @ lora_a) * scaling`` to its
-    base output; IEEE addition commutes, so folding the base term into
-    the adapter array gives the autograd ``base + adapter`` bits.
-    ``pre1`` is never written to (the LoRA step caches it).
-    """
-    inputs: List[np.ndarray] = []
-    adapters: List[Optional[np.ndarray]] = []
-    masks: List[np.ndarray] = []
-    x = hidden
-    for index, layer in enumerate(_head(model)):
-        if index == 0:
-            z = pre1
-        else:
-            z = x @ layer.base.weight.data
-            z += layer.base.bias.data
-        t = None
-        if lora:
-            t = x @ layer.lora_b.data
-            delta = t @ layer.lora_a.data
-            delta *= layer.scaling
-            delta += z
-            z = delta
-        inputs.append(x)
-        adapters.append(t)
-        if index < 2:
-            # relu output is kept separate from z: the backward pass
-            # consumes it as the next layer's input.
-            mask = z > 0
-            masks.append(mask)
-            x = z * mask
-    return z, (inputs, adapters, masks)
-
-
 def _head_backward(model, g: np.ndarray, saved, lora: bool):
-    """The head's graph closures replayed in reverse.
+    """The head's graph closures replayed in reverse, from what
+    :func:`~repro.core.model.head_np` put in ``saved``.
 
     Sets ``.grad`` on the base weights and biases, or with ``lora`` on
     the adapter factors only, and returns the gradient of the head's
@@ -165,11 +133,11 @@ def _head_backward(model, g: np.ndarray, saved, lora: bool):
 
 
 def _qerror_loss(out: np.ndarray, batch: EncodedBatch, total: float):
-    """``log_qerror_loss`` on the (B, n, 1) head output: the loss value
-    and its gradient with respect to ``out``."""
+    """``log_qerror_loss`` on the (B, n) head output: the loss value and
+    its gradient with respect to the head's (B, n, 1) output."""
     lw = batch.loss_weights
     B, n = lw.shape
-    diff = out.reshape(B, n) - batch.labels_log
+    diff = out - batch.labels_log
     loss = (np.abs(diff) * lw).sum() * (1.0 / total)
     g_out = np.sign(diff) * (lw * (1.0 / total))
     return float(loss), g_out.reshape(B, n, 1)
@@ -201,8 +169,6 @@ class FusedQErrorStep:
     @staticmethod
     def supports(model) -> bool:
         """True when the fused mirror covers this exact configuration."""
-        from repro.core.model import DACEModel
-
         return (
             type(model) is DACEModel
             and not any(layer.adapter_enabled for layer in _head(model))
@@ -216,19 +182,17 @@ class FusedQErrorStep:
         return blocked, ~blocked, _loss_total(batch)
 
     def predict(self, batch: EncodedBatch) -> np.ndarray:
-        """Graph-free prediction for evaluation: ``Module.infer``."""
+        """Graph-free prediction for evaluation: ``DACEModel.infer``."""
         return self.model.infer(batch)
 
     # ------------------------------------------------------------------ #
     def step(self, batch: EncodedBatch) -> float:
         """Forward + backward; sets ``.grad`` and returns the loss value.
 
-        Intermediates that autograd materializes but never revisits are
-        folded in place here (masking, softmax normalization, relu
-        gating); every fold is an elementwise op producing the same
-        values as the out-of-place original, so the op *results* — and
-        therefore the loss and every gradient — stay bit-identical to
-        the graph path.
+        The backward pass folds in place what autograd allocates anew
+        (the softmax and mask gradients); every fold is an elementwise op
+        producing the same values as the out-of-place original, so the
+        loss and every gradient stay bit-identical to the graph path.
         """
         model = self.model
         _require_labels(batch)
@@ -237,29 +201,12 @@ class FusedQErrorStep:
         )
 
         w_q, w_k, w_v = model.w_q.weight, model.w_k.weight, model.w_v.weight
-        lin1 = model.mlp1.base
-        x = batch.features
-        x_t = np.swapaxes(x, -1, -2)
+        x_t = np.swapaxes(batch.features, -1, -2)
 
-        # ---- forward: mirrors DACEModel.forward + log_qerror_loss ---- #
-        q = x @ w_q.data
-        k = x @ w_k.data
-        v = x @ w_v.data
-        k_t = np.swapaxes(k, -1, -2)
-        scale = 1.0 / np.sqrt(q.shape[-1])
-        # scores -> masked -> shifted -> exp -> softmax weights, folded
-        # into one array; the backward pass only needs the weights.
-        weights = q @ k_t
-        weights *= scale
-        weights[blocked] = _NEG_INF
-        weights -= weights.max(axis=-1, keepdims=True)
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        hidden = weights @ v
-
-        pre1 = hidden @ lin1.weight.data
-        pre1 += lin1.bias.data
-        out, saved = _head_forward(model, hidden, pre1, lora=False)
+        # ---- forward: the shared graph-free forward + the loss ------- #
+        hidden, (q, k, v, weights) = attention_np(model, batch, blocked)
+        saved = ([], [], [])
+        out = head_np(model, hidden, saved=saved)
         loss, g_out = _qerror_loss(out, batch, total)
 
         # ---- backward: the graph closures replayed in reverse -------- #
@@ -275,8 +222,8 @@ class FusedQErrorStep:
         g_weights -= dot
         g_weights *= weights
         g_weights *= keep
-        g_weights *= scale
-        g_q = g_weights @ np.swapaxes(k_t, -1, -2)
+        g_weights *= 1.0 / np.sqrt(q.shape[-1])
+        g_q = g_weights @ k
         # autograd stores view-based grads as C-contiguous copies before
         # the next matmul consumes them; mirror the layout exactly.
         g_k = np.swapaxes(
@@ -308,8 +255,6 @@ class FusedLoRAStep:
     def supports(model) -> bool:
         """True for an exact ``DACEModel`` with all three adapters
         enabled and training, and every other parameter frozen."""
-        from repro.core.model import DACEModel
-
         if type(model) is not DACEModel:
             return False
         if not all(layer.adapter_enabled for layer in _head(model)):
@@ -324,25 +269,26 @@ class FusedLoRAStep:
     def _batch_prefix(
         self, batch: EncodedBatch
     ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """The frozen prefix: attention output ``H`` (bit-identical to
-        the graph's, as ``Module.infer`` guarantees) and ``H @ W1 + b1``."""
-        hidden = self.model._hidden_infer(batch)
+        """The frozen prefix: attention output ``H`` and ``H @ W1 + b1``,
+        read-only so no step can write to the cached values."""
+        hidden, _ = attention_np(self.model, batch)
         lin1 = self.model.mlp1.base
         pre1 = hidden @ lin1.weight.data
         pre1 += lin1.bias.data
+        hidden.flags.writeable = pre1.flags.writeable = False
         return hidden, pre1, _loss_total(batch)
 
     def predict(self, batch: EncodedBatch) -> np.ndarray:
         """Graph-free prediction for evaluation, reusing the prefix."""
         hidden, pre1, _ = self._prefix.get(batch, self._batch_prefix)
-        out, _ = _head_forward(self.model, hidden, pre1, lora=True)
-        return out.reshape(out.shape[0], out.shape[1])
+        return head_np(self.model, hidden, pre1=pre1)
 
     def step(self, batch: EncodedBatch) -> float:
         """Forward + backward; sets adapter ``.grad``, returns the loss."""
         _require_labels(batch)
         hidden, pre1, total = self._prefix.get(batch, self._batch_prefix)
-        out, saved = _head_forward(self.model, hidden, pre1, lora=True)
+        saved = ([], [], [])
+        out = head_np(self.model, hidden, pre1=pre1, saved=saved)
         loss, g_out = _qerror_loss(out, batch, total)
         _head_backward(self.model, g_out, saved, lora=True)
         return loss

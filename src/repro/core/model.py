@@ -27,13 +27,8 @@ from typing import Optional
 import numpy as np
 
 from repro.featurize.encoder import ENCODING_DIM, EncodedBatch
-from repro.nn import (
-    LoRALinear,
-    Module,
-    Tensor,
-    masked_self_attention,
-    masked_self_attention_infer,
-)
+from repro.nn import LoRALinear, Module, Tensor, masked_self_attention
+from repro.nn.attention import _NEG_INF
 from repro.nn.layers import Linear, ReLU
 
 
@@ -113,30 +108,18 @@ class DACEModel(Module):
         return out.reshape(out.shape[0], out.shape[1])
 
     # ------------------------------------------------------------------ #
-    # Inference-only (no-graph) forward — the serving hot path
+    # Graph-free forward: the serving hot path
     # ------------------------------------------------------------------ #
-    def _hidden_infer(self, batch: EncodedBatch) -> np.ndarray:
-        x = batch.features
-        q = self.w_q.infer(x)
-        k = self.w_k.infer(x)
-        v = self.w_v.infer(x)
-        return masked_self_attention_infer(q, k, v, self._attention_mask(batch))
-
     def infer(self, batch: EncodedBatch) -> np.ndarray:
-        """Pure-numpy forward: same output as ``forward`` (bit-for-bit),
-        no Tensor graph nodes allocated.  Shape (B, n)."""
-        hidden = self._hidden_infer(batch)
-        h1 = self.act.infer(self.mlp1.infer(hidden))
-        h2 = self.act.infer(self.mlp2.infer(h1))
-        out = self.mlp3.infer(h2)
-        return out.reshape(out.shape[0], out.shape[1])
+        """Pure-numpy :meth:`forward`: the same bits, no Tensor graph.
+        Shape (B, n)."""
+        hidden, _ = attention_np(self, batch)
+        return head_np(self, hidden)
 
     def embed_infer(self, batch: EncodedBatch) -> np.ndarray:
         """Graph-free :meth:`embed`: root ``w_E`` vectors, shape (B, hidden2)."""
-        hidden = self._hidden_infer(batch)
-        h1 = self.act.infer(self.mlp1.infer(hidden))
-        h2 = self.act.infer(self.mlp2.infer(h1))
-        return h2[:, 0, :].copy()
+        hidden, _ = attention_np(self, batch)
+        return head_np(self, hidden, depth=2)[:, 0, :].copy()
 
     # ------------------------------------------------------------------ #
     def embed(self, batch: EncodedBatch) -> np.ndarray:
@@ -177,3 +160,97 @@ class DACEModel(Module):
             layer.adapter_num_parameters()
             for layer in (self.mlp1, self.mlp2, self.mlp3)
         )
+
+
+# ---------------------------------------------------------------------- #
+# The graph-free forward, shared by serving and both fused training steps
+# ---------------------------------------------------------------------- #
+# Both functions mirror DACEModel.forward operation for operation, on the
+# same shapes in the same order, so their outputs are bit-identical (==,
+# not allclose) to the autograd graph's.  Every matmul keeps the
+# per-layer operand shapes: flattening (B, n, d) into one (B*n, d) GEMM
+# is not bit-safe, because BLAS picks its microkernel by matrix extent
+# and a different blocking regroups the K-accumulation at the last ulp.
+# Intermediates the graph materializes but never revisits are folded in
+# place instead; a ufunc on identical operands gives identical bits in
+# or out of place.
+def attention_np(
+    model: DACEModel,
+    batch: EncodedBatch,
+    blocked: Optional[np.ndarray] = None,
+) -> tuple:
+    """The tree-masked attention: ``(H, (q, k, v, weights))``.
+
+    ``blocked`` is the complement of the model's attention mask for
+    ``batch``; callers that reuse a batch pass it precomputed.  Scores
+    are scaled, blocked, shifted, exponentiated and normalized in one
+    array, which ends as the softmax weights the backward pass needs.
+    """
+    if blocked is None:
+        blocked = ~np.asarray(model._attention_mask(batch), dtype=bool)
+    x = batch.features
+    q = x @ model.w_q.weight.data
+    k = x @ model.w_k.weight.data
+    v = x @ model.w_v.weight.data
+    weights = q @ np.swapaxes(k, -1, -2)
+    weights *= 1.0 / np.sqrt(q.shape[-1])
+    weights[blocked] = _NEG_INF
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights @ v, (q, k, v, weights)
+
+
+def head_np(
+    model: DACEModel,
+    hidden: np.ndarray,
+    depth: int = 3,
+    pre1: Optional[np.ndarray] = None,
+    saved: Optional[tuple] = None,
+) -> np.ndarray:
+    """The MLP head from the attention output ``hidden``.
+
+    Returns the (B, n) log-latencies, or with ``depth=2`` the (B, n,
+    hidden2) activations ``h_2``.  A layer whose adapter is enabled adds
+    ``((x @ lora_b) @ lora_a) * scaling`` to its base output; IEEE
+    addition commutes, so folding the base term into the adapter array
+    gives the autograd ``base + adapter`` bits.
+
+    ``pre1``, if given, is layer 1's base pre-activation ``H @ W1 + b1``
+    (the LoRA step's per-batch constant).  It is passed only with layer
+    1's adapter enabled, so the adapter sum is a new array and ``pre1``
+    is never written to.
+
+    With ``saved`` — three lists — each layer appends its input, its
+    adapter term ``x @ lora_b`` (or None) and, below layer 3, its ReLU
+    mask, for the backward pass.  Without it the ReLU gates in place, so
+    no activation outlives the next layer.
+    """
+    x = hidden
+    layers = (model.mlp1, model.mlp2, model.mlp3)
+    for index, layer in enumerate(layers[:depth]):
+        if index == 0 and pre1 is not None:
+            z = pre1
+        else:
+            z = x @ layer.base.weight.data
+            z += layer.base.bias.data
+        t = None
+        if layer.adapter_enabled:
+            t = x @ layer.lora_b.data
+            delta = t @ layer.lora_a.data
+            delta *= layer.scaling
+            delta += z
+            z = delta
+        if saved is not None:
+            saved[0].append(x)
+            saved[1].append(t)
+        if index == 2:
+            return z.reshape(z.shape[0], z.shape[1])
+        mask = z > 0
+        if saved is None:
+            z *= mask
+            x = z
+        else:
+            saved[2].append(mask)
+            x = z * mask
+    return x

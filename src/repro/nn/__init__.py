@@ -10,7 +10,7 @@ q-error loss.
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import LayerNorm, Linear, ReLU, Sequential
-from repro.nn.attention import masked_self_attention, masked_self_attention_infer
+from repro.nn.attention import masked_self_attention
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.losses import log_qerror_loss, qerror
 from repro.nn.lora import LoRALinear
@@ -26,7 +26,6 @@ __all__ = [
     "ReLU",
     "LayerNorm",
     "masked_self_attention",
-    "masked_self_attention_infer",
     "Optimizer",
     "Adam",
     "qerror",

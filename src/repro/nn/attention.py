@@ -38,26 +38,6 @@ def masked_self_attention(
     return weights @ v
 
 
-def masked_self_attention_infer(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Graph-free :func:`masked_self_attention` on raw numpy arrays.
-
-    The serving hot path fuses the score/mask/softmax/mix steps into one
-    call with no Tensor allocation.  Every operation mirrors the autograd
-    version (including the ``x - max`` softmax shift), so the two paths
-    agree bit-for-bit on identical inputs.
-    """
-    d_k = q.shape[-1]
-    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_k))
-    blocked = ~np.asarray(mask, dtype=bool)
-    scores = np.where(blocked, _NEG_INF, scores)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    weights = exp / exp.sum(axis=-1, keepdims=True)
-    return weights @ v
-
-
 def multi_head_self_attention(
     q: Tensor,
     k: Tensor,

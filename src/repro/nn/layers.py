@@ -34,20 +34,10 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # `x * (x > 0)`, not np.maximum: bit-identical to Tensor.relu.
-        return x * (x > 0)
 
 
 class LayerNorm(Module):
@@ -65,16 +55,6 @@ class LayerNorm(Module):
         variance = (centered * centered).mean(axis=-1, keepdims=True)
         normalized = centered * (variance + self.eps) ** -0.5
         return normalized * self.gamma + self.beta
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Bit-identity with forward: Tensor.mean is sum * (1/n), whose
-        # rounding differs from np.mean at the last ulp.
-        scale = 1.0 / x.shape[-1]
-        mean = x.sum(axis=-1, keepdims=True) * scale
-        centered = x - mean
-        variance = (centered * centered).sum(axis=-1, keepdims=True) * scale
-        normalized = centered * (variance + self.eps) ** -0.5
-        return normalized * self.gamma.data + self.beta.data
 
 
 class Sequential(Module):
@@ -96,11 +76,6 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for module in self.children_list:
             x = module(x)
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        for module in self.children_list:
-            x = module.infer(x)
         return x
 
 

@@ -83,9 +83,3 @@ class LoRALinear(Module):
         if self._adapter_enabled:
             out = out + (x @ self.lora_b @ self.lora_a) * self.scaling
         return out
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        out = self.base.infer(x)
-        if self._adapter_enabled:
-            out = out + (x @ self.lora_b.data @ self.lora_a.data) * self.scaling
-        return out

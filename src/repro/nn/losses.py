@@ -62,8 +62,11 @@ def log_qerror_loss_np(
     Runs the identical numpy operations in the identical order on plain
     arrays, so the returned value is bit-identical to
     ``log_qerror_loss(...).item()`` on the same inputs — which is what
-    lets the trainer evaluate validation loss through ``Module.infer``
-    without perturbing early stopping by a single ulp.
+    lets the trainer evaluate validation loss through the graph-free
+    forward (``DACEModel.infer``, ``FusedLoRAStep.predict``) without
+    perturbing early stopping by a single ulp.  On the forward output of
+    a labelled batch it also equals, bit for bit, the loss the fused
+    training steps return for that batch.
     """
     diff = np.abs(pred_log - target_log)
     if weights is None:

@@ -6,7 +6,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 class Parameter(Tensor):
@@ -113,22 +113,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # Inference-only forward
-    # ------------------------------------------------------------------ #
-    def infer(self, *args, **kwargs):
-        """Graph-free forward pass on raw numpy arrays.
-
-        The serving hot path: no :class:`~repro.nn.tensor.Tensor` nodes are
-        allocated and no backward closures recorded.  Layers with a pure
-        numpy implementation override this; the fallback runs ``forward``
-        under ``no_grad`` and unwraps the result, so every module stays
-        servable even before it grows a hand-written inference kernel.
-
-        Overrides must mirror ``forward`` operation-for-operation so the
-        two paths agree bit-for-bit.
-        """
-        with no_grad():
-            out = self.forward(*args, **kwargs)
-        return out.data if isinstance(out, Tensor) else out

@@ -7,10 +7,10 @@ Everything downstream of a trained model goes through this package:
 - :class:`~repro.serve.service.EstimatorService` — wraps a model +
   encoder behind the protocol with an LRU fingerprint cache and
   batch-sorted, no-graph inference;
-- :class:`~repro.serve.fused.FusedInferStep` — the fused
-  structure-of-arrays serving forward cache-miss buckets run through
-  (byte-identical to per-layer ``Module.infer``; LoRA-delta and
-  non-DACE configurations fall back automatically);
+- :class:`~repro.serve.fused.FusedInferStep` — the serving entry point
+  of the one graph-free DACE forward that cache-miss buckets run through
+  (bit-identical to the autograd ``DACEModel.forward``; LoRA-delta and
+  non-DACE configurations are served by ``model.infer``);
 - :class:`~repro.serve.concurrent.ConcurrentEstimatorService` — a
   thread-pool front-end that coalesces *concurrent* traffic into batched
   forwards (leader/followers drain), byte-identical to the serial path;

@@ -5,7 +5,7 @@ few-KB LoRA adapter set per database — i.e. per *tenant*.  The fleet
 layer turns that into a serving topology:
 
 - **N shards**, each a model replica with an
-  :class:`~repro.serve.service.EstimatorService` (fused kernel,
+  :class:`~repro.serve.service.EstimatorService` (graph-free forward,
   deterministic pad buckets, shared encoder), optionally wrapped in
   chaos/resilience tiers, a per-shard
   :class:`~repro.serve.registry.ModelRegistry` holding every tenant's
@@ -193,7 +193,6 @@ class FleetShard:
         cache_size: int = DEFAULT_SHARD_CACHE,
         max_queue: int = DEFAULT_MAX_QUEUE,
         metrics: Optional[MetricsRegistry] = None,
-        fused: Optional[bool] = None,
         resilient: bool = False,
         shard_wrapper=None,
     ) -> None:
@@ -216,7 +215,6 @@ class FleetShard:
             batch_size=batch_size,
             cache_size=0,
             metrics=self.metrics,
-            fused=fused,
         )
         estimator = self.service
         if shard_wrapper is not None:
@@ -459,7 +457,6 @@ class FleetGateway:
         max_queue: int = DEFAULT_MAX_QUEUE,
         replicas: int = DEFAULT_REPLICAS,
         metrics: Optional[MetricsRegistry] = None,
-        fused: Optional[bool] = None,
         resilient: bool = False,
         shard_wrapper=None,
     ) -> None:
@@ -469,7 +466,7 @@ class FleetGateway:
         self.encoder = encoder
         shard_kwargs = dict(
             batch_size=batch_size, cache_size=cache_size,
-            max_queue=max_queue, fused=fused, resilient=resilient,
+            max_queue=max_queue, resilient=resilient,
             shard_wrapper=shard_wrapper,
         )
         self._ctor_kwargs = dict(shard_kwargs, replicas=replicas)

@@ -1,40 +1,25 @@
-"""Fused graph-free serving forward for the DACE architecture.
+"""The serving entry point of the graph-free DACE forward.
 
-:class:`~repro.core.model.DACEModel` already serves through a pure-numpy
-``infer``, but that path still *dispatches*: six ``Module.infer`` python
-frames (three attention projections, three MLP layers), two activation
-calls, and the attention helper per forward, each allocating out-of-place
-intermediates.  On a ~16k-parameter model the arithmetic is tiny, so that
-per-layer python overhead is a real fraction of every cache-miss wave.
+:class:`FusedInferStep` runs the one graph-free forward that
+``DACEModel.infer`` and both fused training steps run too
+(:func:`~repro.core.model.attention_np` and
+:func:`~repro.core.model.head_np`), so its output is **bit-identical**
+(``==``, not allclose) to the autograd ``DACEModel.forward``;
+``tests/serve/test_fused.py`` enforces this.
 
-:class:`FusedInferStep` is the serving twin of the training-side
-:class:`~repro.core.fused.FusedQErrorStep`: one structure-of-arrays numpy
-function covering the exact op sequence of ``DACEModel.infer`` (fused
-attention + MLP head), consuming one padded node-count bucket per call.
-Masking, the softmax normalization, and the bias adds are folded in
-place; every fold is an elementwise op producing the same values as the
-out-of-place original, so the output is **bit-identical** (``==``, not
-allclose) to ``Module.infer`` — the same mirror contract ``Module.infer``
-itself pins against the autograd forward, enforced by
-``tests/serve/test_fused.py``.
+It holds no forward of its own.  It stays as a separate class because the
+benchmark harness (``perfbench/tracing.py``) imports it and times its
+``forward``, and because its dispatch counters ``serve.fused.forwards`` /
+``serve.fused.fallbacks`` are what the harness's ``fused_share_is_1`` and
+``fused_share_is_0`` checks read.  Once the harness reads the shared
+forward instead, this class and its counters can go.
 
-Per-width identity masks (padding rows and the w/o-TA ablation's
-self-attention floor) are built once, marked read-only, and reused across
-calls — the serving analogue of the encode-once pipeline's cached batch
-constants.  Per-plan *ancestor* masks are snapshot once in
-:attr:`~repro.featurize.catcher.CaughtPlan.adjacency` and flow in through
-the already-padded ``batch.attention_mask``, so no mask is ever rebuilt
-per call.
-
-Because the fused kernel is only a mirror, it refuses anything it does
-not replicate exactly: model subclasses (which may override ``forward``/
-``infer``) never fuse, and a LoRA-delta configuration (any adapter
-enabled, e.g. after ``enable_lora`` or a registry hot-swap) falls back to
-``Module.infer`` *at call time* — :meth:`engaged` is re-checked on every
-forward, so flipping adapters on a live service is safe without a
-rebuild.  The fallback path is byte-identical anyway (it is the very
-path the kernel mirrors), so callers never observe the switch except in
-the ``serve.fused.*`` counters.
+Dispatch keeps its two guards.  :meth:`FusedInferStep.supports` accepts
+only the exact ``DACEModel`` class (a subclass may override ``forward``);
+:meth:`FusedInferStep.engaged` is re-checked on every forward and is False
+while any LoRA adapter is enabled, so a LoRA-delta configuration
+(``enable_lora``, a registry hot-swap) is served by ``model.infer`` and
+counted as a fallback.  Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -43,22 +28,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.model import DACEModel, attention_np, head_np
 from repro.featurize.encoder import EncodedBatch
-from repro.nn.attention import _NEG_INF
 
 __all__ = ["FusedInferStep", "maybe_fused_infer"]
 
 
-def _adapters_disabled(model) -> bool:
-    return not (
-        model.mlp1.adapter_enabled
-        or model.mlp2.adapter_enabled
-        or model.mlp3.adapter_enabled
-    )
-
-
 class FusedInferStep:
-    """One fused numpy forward for ``DACEModel`` serving buckets.
+    """The shared graph-free forward, as a serving step for a stock
+    ``DACEModel``.
 
     Usage (replaces ``model.infer(batch)`` / ``model.embed_infer(batch)``
     one for one)::
@@ -72,105 +50,43 @@ class FusedInferStep:
     def __init__(self, model) -> None:
         if not self.supports(model):
             raise ValueError(
-                "FusedInferStep mirrors the stock DACEModel only; "
+                "FusedInferStep serves the stock DACEModel only; "
                 f"got {type(model).__name__}"
             )
         self.model = model
 
-    # ------------------------------------------------------------------ #
-    # Guards
-    # ------------------------------------------------------------------ #
     @staticmethod
     def supports(model) -> bool:
-        """True when the fused mirror covers this model *class*.
+        """True when the model is exactly ``DACEModel``.
 
-        Exact-type check, as in the training-side fused step: a subclass
-        may override ``forward``/``infer``, and the mirror would silently
-        diverge from it.
+        Exact-type check, as in the training-side fused steps: a subclass
+        may override ``forward``/``infer``, and the shared forward would
+        silently diverge from it.
         """
-        from repro.core.model import DACEModel
-
         return type(model) is DACEModel
 
     def engaged(self) -> bool:
-        """Call-time guard: False while any LoRA adapter is enabled.
-
-        The adapter delta is fine-tuning state that can flip on a live
-        model (``enable_lora``, registry hot-swap); re-checking per
-        forward keeps the fused path safe without service rebuilds.
-        """
-        return _adapters_disabled(self.model)
-
-    # ------------------------------------------------------------------ #
-    # Masks
-    # ------------------------------------------------------------------ #
-    def _blocked(self, batch: EncodedBatch) -> np.ndarray:
-        """Complement of the model's attention mask for this batch.
-
-        Delegates to ``model._attention_mask`` so both TA-ablation modes
-        ride the same cached read-only identity masks the per-layer path
-        uses (``repro.core.model._eye_mask``), then complements once.
-        """
-        return ~np.asarray(self.model._attention_mask(batch), dtype=bool)
-
-    # ------------------------------------------------------------------ #
-    # Fused forwards
-    # ------------------------------------------------------------------ #
-    def _hidden_h2(self, batch: EncodedBatch) -> np.ndarray:
-        """Shared attention + first two MLP layers: h2 of (B, n, hidden2).
-
-        Mirrors ``DACEModel._hidden_infer`` + ``mlp1/relu/mlp2/relu``
-        operation for operation.  In-place folds (scale, mask fill,
-        softmax shift/normalize, bias adds, relu gating) compute the same
-        values as the out-of-place originals, so bits cannot move.
-        """
+        """Call-time guard: False while any LoRA adapter is enabled."""
         model = self.model
-        x = batch.features
-        lin1, lin2 = model.mlp1.base, model.mlp2.base
-
-        # Every matmul below has the *same shapes and operands* as the
-        # per-layer path — reshaping them (e.g. flattening (B, n, d) to
-        # one (B*n, d) GEMM) is NOT bit-safe: BLAS picks its microkernel
-        # by matrix extent, and a different M-blocking regroups the
-        # K-accumulation at the last-ulp level.  The fusion wins come
-        # only from dropping python dispatch and temporaries; elementwise
-        # folds reuse buffers because a ufunc on identical operands gives
-        # identical bits in or out of place.
-        q = x @ model.w_q.weight.data
-        k = x @ model.w_k.weight.data
-        v = x @ model.w_v.weight.data
-        # scores -> masked -> shifted -> exp -> softmax weights, folded
-        # into one array (the kernel never revisits raw scores).
-        scores = q @ np.swapaxes(k, -1, -2)
-        scores *= 1.0 / np.sqrt(q.shape[-1])
-        scores = np.where(self._blocked(batch), _NEG_INF, scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        hidden = scores @ v
-
-        h1 = hidden @ lin1.weight.data
-        h1 += lin1.bias.data
-        h1 *= h1 > 0
-        h2 = h1 @ lin2.weight.data
-        h2 += lin2.bias.data
-        h2 *= h2 > 0
-        return h2
+        return not (
+            model.mlp1.adapter_enabled
+            or model.mlp2.adapter_enabled
+            or model.mlp3.adapter_enabled
+        )
 
     def forward(self, batch: EncodedBatch) -> np.ndarray:
         """Per-node log-latency, shape (B, n): ``== model.infer(batch)``."""
-        lin3 = self.model.mlp3.base
-        out = self._hidden_h2(batch) @ lin3.weight.data
-        out += lin3.bias.data
-        return out.reshape(out.shape[0], out.shape[1])
+        hidden, _ = attention_np(self.model, batch)
+        return head_np(self.model, hidden)
 
     def embed(self, batch: EncodedBatch) -> np.ndarray:
         """Root ``w_E`` vectors, (B, hidden2): ``== model.embed_infer``."""
-        return self._hidden_h2(batch)[:, 0, :].copy()
+        hidden, _ = attention_np(self.model, batch)
+        return head_np(self.model, hidden, depth=2)[:, 0, :].copy()
 
 
 def maybe_fused_infer(model) -> Optional[FusedInferStep]:
-    """A :class:`FusedInferStep` when the model class is fusible, else None."""
+    """A :class:`FusedInferStep` when the model class is supported, else None."""
     if FusedInferStep.supports(model):
         return FusedInferStep(model)
     return None

@@ -2,13 +2,13 @@
 
 Wraps any model + encoder pair behind the :class:`Estimator` protocol:
 
-- **no-graph forward** — cache-miss buckets run through one fused
-  structure-of-arrays numpy kernel
-  (:class:`~repro.serve.fused.FusedInferStep`, byte-identical to the
-  per-layer path) when the model is a stock DACE with no LoRA delta;
-  otherwise through ``model.infer`` (pure numpy, no autograd Tensor
-  nodes) when the model provides it, else a ``no_grad`` autograd
-  forward.  Dispatch counts land on ``serve.fused.forwards`` /
+- **no-graph forward** — cache-miss buckets run through the model's
+  graph-free ``infer``/``embed_infer``; for a stock DACE that is the one
+  numpy forward training shares (:mod:`repro.core.model`), bit-identical
+  to the autograd ``forward``.  A stock DACE with no LoRA adapter enabled
+  enters it through :class:`~repro.serve.fused.FusedInferStep`, which
+  counts each batch on ``serve.fused.forwards``; one with an adapter
+  enabled goes through ``model.infer`` and counts on
   ``serve.fused.fallbacks``;
 - **encoding/prediction cache** — per-plan node-level predictions and
   embeddings are cached in an LRU keyed by
@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.engine.plan import PlanNode
 from repro.featurize.catcher import CaughtPlan, catch_plan
-from repro.nn import no_grad
 from repro.obs import MetricsRegistry
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.fused import FusedInferStep, maybe_fused_infer
@@ -81,7 +80,6 @@ class EstimatorService:
         batch_size: int = 64,
         cache_size: int = DEFAULT_CACHE_SIZE,
         metrics: Optional[MetricsRegistry] = None,
-        fused: Optional[bool] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -115,24 +113,16 @@ class EstimatorService:
         self._batch_sizes = self.metrics.histogram(
             "serve.batch_size", help="plans per model forward"
         )
-        # Fused serving forward: one structure-of-arrays numpy kernel per
-        # padded bucket instead of per-layer Module.infer dispatch.
-        # fused=None auto-installs when the model class is fusible;
-        # fused=True demands it; fused=False pins the per-layer path.
-        # LoRA-delta state is re-checked per call (FusedInferStep.engaged),
-        # so adapter flips on a live model fall back without a rebuild.
-        if fused is None:
-            self._fused = maybe_fused_infer(model)
-        elif fused:
-            self._fused = FusedInferStep(model)
-        else:
-            self._fused = None
+        # The adapter state is re-checked per call
+        # (FusedInferStep.engaged), so adapter flips on a live model need
+        # no rebuild.
+        self._fused = maybe_fused_infer(model)
         self._fused_forwards = self.metrics.counter(
-            "serve.fused.forwards", help="batches served by the fused kernel"
+            "serve.fused.forwards", help="batches served by FusedInferStep"
         )
         self._fused_fallbacks = self.metrics.counter(
             "serve.fused.fallbacks",
-            help="batches that fell back to per-layer Module.infer",
+            help="batches of a LoRA-enabled DACE, served by model.infer",
         )
 
     # ------------------------------------------------------------------ #
@@ -171,29 +161,14 @@ class EstimatorService:
     # ------------------------------------------------------------------ #
     # Model access
     # ------------------------------------------------------------------ #
-    @property
-    def fused_active(self) -> bool:
-        """True when the next forward would run the fused kernel."""
-        return self._fused is not None and self._fused.engaged()
-
-    def disable_fused(self) -> None:
-        """Pin the per-layer ``Module.infer`` path (e.g. ``--no-fused``).
-
-        Purely a dispatch change: the fused kernel is byte-identical to
-        the path this re-enables, so no cache invalidation is needed.
-        """
-        self._fused = None
-
     def _fused_step(self) -> Optional[FusedInferStep]:
-        """The fused kernel if it should serve this batch, else None."""
+        """The fused step if it should serve this batch, else None."""
         fused = self._fused
         if fused is None:
             return None
         if fused.engaged():
             self._fused_forwards.inc()
             return fused
-        # LoRA-delta (or other unsupported) state: per-layer path covers
-        # it; the counter keeps the tier switch observable.
         self._fused_fallbacks.inc()
         return None
 
@@ -201,21 +176,13 @@ class EstimatorService:
         fused = self._fused_step()
         if fused is not None:
             return fused.forward(batch)
-        infer = getattr(self.model, "infer", None)
-        if infer is not None:
-            return infer(batch)
-        with no_grad():
-            return self.model(batch).data
+        return self.model.infer(batch)
 
     def _embed_forward(self, batch) -> np.ndarray:
         fused = self._fused_step()
         if fused is not None:
             return fused.embed(batch)
-        embed = getattr(self.model, "embed_infer", None)
-        if embed is not None:
-            return embed(batch)
-        with no_grad():
-            return self.model.embed(batch)
+        return self.model.embed_infer(batch)
 
     # ------------------------------------------------------------------ #
     # Deterministic chunking

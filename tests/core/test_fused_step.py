@@ -23,7 +23,7 @@ from repro.core.fused import FusedLoRAStep, FusedQErrorStep, maybe_fused_step
 from repro.core.model import DACEConfig, DACEModel
 from repro.core.trainer import catch_dataset
 from repro.featurize import PlanEncoder
-from repro.nn.losses import log_qerror_loss
+from repro.nn.losses import log_qerror_loss, log_qerror_loss_np
 from repro.workloads.encoded import EncodedDataset
 
 @pytest.fixture(scope="module")
@@ -225,6 +225,26 @@ def test_lora_step_matches_graph_exactly(batches, use_tree_attention):
         for batch in batches:
             _assert_lora_step_matches(model, fused, batch)
             assert np.array_equal(fused.predict(batch), model.infer(batch))
+
+
+@pytest.mark.parametrize("use_tree_attention", [True, False])
+def test_step_losses_equal_serving_forward_loss(batches,
+                                                use_tree_attention):
+    """Serving and training run one forward: each fused step's loss is
+    the numpy loss of ``model.infer`` on the same batch, bit for bit."""
+    dim = batches[0].features.shape[-1]
+    pretrain = DACEModel(
+        DACEConfig(input_dim=dim, use_tree_attention=use_tree_attention),
+        rng=np.random.default_rng(7),
+    )
+    lora = _tuned_lora_model(dim, use_tree_attention)
+    for model, step in ((pretrain, FusedQErrorStep(pretrain)),
+                        (lora, FusedLoRAStep(lora))):
+        for batch in batches:
+            served = log_qerror_loss_np(
+                model.infer(batch), batch.labels_log, batch.loss_weights
+            )
+            assert step.step(batch) == served
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 ``Trainer.fit`` now encodes once, reuses padded batches across epochs,
 trains through the fused graph-free step, and evaluates validation loss
-through ``Module.infer`` — four separate shortcuts, each of which must
+through ``DACEModel.infer`` — four separate shortcuts, each of which must
 be invisible: same seed in, same loss history and same final weights
 out, compared exactly against a faithful replica of the seed commit's
 loop (per-epoch re-encoding, autograd graph, out-of-place Adam).

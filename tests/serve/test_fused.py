@@ -1,8 +1,9 @@
-"""Differential battery: the fused serving kernel vs per-layer infer.
+"""Differential battery: the graph-free serving forward vs autograd.
 
-:class:`~repro.serve.fused.FusedInferStep` claims to be **byte-identical**
-(``==``, not allclose) to ``DACEModel.infer`` / ``embed_infer``.  This
-battery attacks that claim from every angle the serving path can reach:
+:class:`~repro.serve.fused.FusedInferStep` and ``DACEModel.infer`` /
+``embed_infer`` claim to be **byte-identical** (``==``, not allclose) to
+the autograd reference ``DACEModel.forward`` / ``embed``.  This battery
+attacks that claim from every angle the serving path can reach:
 
 - hypothesis-generated random plan trees, both TA-ablation modes, every
   padding mode (tight, pad_base, oversized);
@@ -10,9 +11,9 @@ battery attacks that claim from every angle the serving path can reach:
   buckets both engage;
 - chain plans pinned exactly on and around the deterministic bucket
   boundaries (16 -> 24 -> 36);
-- the LoRA fallback: with any adapter enabled the fused kernel must step
-  aside *at call time* and the per-layer path must serve, observable only
-  through the ``serve.fused.*`` counters;
+- the LoRA fallback: with any adapter enabled ``FusedInferStep`` must
+  step aside *at call time* and ``model.infer`` must serve, observable
+  only through the ``serve.fused.*`` counters;
 - the ``supports()`` guard: subclasses and foreign models never fuse.
 """
 
@@ -25,7 +26,7 @@ from repro.core import DACEModel
 from repro.core.model import DACEConfig
 from repro.engine.plan import NODE_TYPES, PlanNode
 from repro.featurize import PlanEncoder, catch_plan
-from repro.obs import MetricsRegistry
+from repro.nn import no_grad
 from repro.serve import EstimatorService, FusedInferStep, maybe_fused_infer
 
 _LEAF_TYPES = [t for t in NODE_TYPES if "Scan" in t] + ["Result"]
@@ -86,8 +87,20 @@ def model(request):
     return DACEModel(config, rng=np.random.default_rng(7))
 
 
+def _assert_matches_autograd(model, batch):
+    """Both graph-free entry points == the autograd forward and embed."""
+    with no_grad():
+        expected = model(batch).data
+        expected_embed = model.embed(batch)
+    step = FusedInferStep(model)
+    for forward, embed in ((step.forward, step.embed),
+                           (model.infer, model.embed_infer)):
+        np.testing.assert_array_equal(forward(batch), expected)
+        np.testing.assert_array_equal(embed(batch), expected_embed)
+
+
 class TestFusedDifferential:
-    """step.forward == model.infer and step.embed == model.embed_infer."""
+    """FusedInferStep and DACEModel.infer/embed_infer == autograd."""
 
     @given(plans=st.lists(random_plan_trees(), min_size=1, max_size=20),
            pad=st.sampled_from([None, 16, 24, 36]))
@@ -97,11 +110,7 @@ class TestFusedDifferential:
         if pad is not None and max(c.num_nodes for c in caught) > pad:
             pad = None  # tree outgrew the requested bucket: tight-pad
         batch = encoder.encode_batch(caught, with_labels=False, pad_to=pad)
-        step = FusedInferStep(model)
-        np.testing.assert_array_equal(step.forward(batch),
-                                      model.infer(batch))
-        np.testing.assert_array_equal(step.embed(batch),
-                                      model.embed_infer(batch))
+        _assert_matches_autograd(model, batch)
 
     @pytest.mark.parametrize("num_nodes", [15, 16, 17, 24, 25, 36, 37])
     def test_bucket_boundaries_bit_identical(self, model, encoder,
@@ -112,15 +121,11 @@ class TestFusedDifferential:
         pad = service._pad_width(num_nodes)
         assert pad >= num_nodes
         batch = encoder.encode_batch(caught, with_labels=False, pad_to=pad)
-        step = FusedInferStep(model)
-        np.testing.assert_array_equal(step.forward(batch),
-                                      model.infer(batch))
-        np.testing.assert_array_equal(step.embed(batch),
-                                      model.embed_infer(batch))
+        _assert_matches_autograd(model, batch)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 16, 17, 33])
     def test_service_batched_vs_serial(self, model, encoder, batch_size):
-        """Fused chunked serving == per-layer plan-at-a-time serving.
+        """Fused chunked serving == plan-at-a-time serving.
 
         Mixed node counts straddle bucket boundaries, so the fused side
         exercises multiple buckets per call; byte equality must survive
@@ -130,9 +135,7 @@ class TestFusedDifferential:
         caught = [catch_plan(_chain_plan(n))
                   for n in (counts * 3)[:max(batch_size, len(counts))]]
         fused = EstimatorService(model, encoder, batch_size=batch_size)
-        serial = EstimatorService(model, encoder, batch_size=1, fused=False)
-        assert fused.fused_active
-        assert not serial.fused_active
+        serial = EstimatorService(model, encoder, batch_size=1)
         np.testing.assert_array_equal(fused.predict_caught(caught),
                                       serial.predict_caught(caught))
         np.testing.assert_array_equal(
@@ -140,11 +143,11 @@ class TestFusedDifferential:
             np.stack(serial._embeddings(caught)),
         )
         assert fused.metrics.counter("serve.fused.forwards").value > 0
-        assert serial.metrics.counter("serve.fused.forwards").value == 0
+        assert serial.metrics.counter("serve.fused.forwards").value > 0
 
 
 class TestLoRAFallback:
-    """Any enabled adapter disengages the kernel at call time."""
+    """Any enabled adapter disengages FusedInferStep at call time."""
 
     def _fresh_model(self):
         return DACEModel(DACEConfig(), rng=np.random.default_rng(11))
@@ -164,7 +167,6 @@ class TestLoRAFallback:
         forwards = service.metrics.counter("serve.fused.forwards")
         fallbacks = service.metrics.counter("serve.fused.fallbacks")
 
-        assert service.fused_active
         base = service.predict_caught(caught)
         assert forwards.value == 1 and fallbacks.value == 0
 
@@ -172,21 +174,21 @@ class TestLoRAFallback:
         # beyond the weight-change contract.
         model.enable_lora()
         service.invalidate()
-        assert not service.fused_active        # guard re-checked per call
         adapted = service.predict_caught(caught)
-        assert fallbacks.value == 1            # per-layer path served it
+        assert fallbacks.value == 1            # guard re-checked per call
         assert forwards.value == 1
         # The adapter delta is real, so predictions must actually move —
-        # proving the fallback exercised the LoRA math the kernel lacks.
+        # proving the fallback exercised the LoRA math.
         assert not np.array_equal(base, adapted)
-        reference = EstimatorService(model, encoder, fused=False)
+        batch = encoder.encode_batch(caught, with_labels=False, pad_to=16)
+        with no_grad():
+            expected = model(batch).data
         np.testing.assert_array_equal(
-            adapted, reference.predict_caught(caught)
+            adapted, np.exp(expected[:, 0])
         )
 
         model.disable_lora()
         service.invalidate()
-        assert service.fused_active
         back = service.predict_caught(caught)
         assert forwards.value == 2
         np.testing.assert_array_equal(back, base)
@@ -203,7 +205,7 @@ class TestLoRAFallback:
 
 
 class TestSupportsGuard:
-    """Only the stock DACEModel class ever fuses."""
+    """Only the stock DACEModel class is served by FusedInferStep."""
 
     def test_supports_stock_model(self):
         model = DACEModel(rng=np.random.default_rng(0))
@@ -234,27 +236,8 @@ class TestSupportsGuard:
             pass
 
         model = TweakedDACE(rng=np.random.default_rng(0))
-        service = EstimatorService(model, encoder)    # fused=None (auto)
-        assert not service.fused_active
+        service = EstimatorService(model, encoder)
         caught = [catch_plan(_chain_plan(3))]
         service.predict_caught(caught)
         assert service.metrics.counter("serve.fused.forwards").value == 0
         assert service.metrics.counter("serve.fused.fallbacks").value == 0
-
-    def test_fused_true_demands_support(self, encoder):
-        class TweakedDACE(DACEModel):
-            pass
-
-        with pytest.raises(ValueError, match="stock DACEModel"):
-            EstimatorService(TweakedDACE(rng=np.random.default_rng(0)),
-                             encoder, fused=True)
-
-    def test_disable_fused_pins_per_layer_path(self, encoder):
-        model = DACEModel(rng=np.random.default_rng(0))
-        metrics = MetricsRegistry()
-        service = EstimatorService(model, encoder, metrics=metrics)
-        assert service.fused_active
-        service.disable_fused()
-        assert not service.fused_active
-        service.predict_caught([catch_plan(_chain_plan(4))])
-        assert metrics.counter("serve.fused.forwards").value == 0

@@ -44,9 +44,7 @@ def service():
     model = DACEModel(rng=np.random.default_rng(13))
     caught = [catch_plan(_chain_plan(n)) for n in range(1, 20)]
     encoder = PlanEncoder().fit(caught)
-    service = EstimatorService(model, encoder)
-    assert service.fused_active
-    return service
+    return EstimatorService(model, encoder)
 
 
 def _resilient(inner):
@@ -58,7 +56,7 @@ def _resilient(inner):
 class TestResilientOverFused:
     def test_healthy_path_bit_identical(self, service):
         """Zero faults: the whole stack answers exactly like the bare
-        fused service, which answers exactly like the per-layer path."""
+        fused service, which answers exactly like a fresh service."""
         chaos = ChaosEstimator.with_fault_rate(
             service, 0.0, seed=0, sleep=lambda _s: None
         )
@@ -68,11 +66,9 @@ class TestResilientOverFused:
 
         service.invalidate()
         bare = service.predict_plans(PLANS)
-        per_layer = EstimatorService(
-            service.model, service.encoder, fused=False
-        ).predict_plans(PLANS)
+        fresh = EstimatorService(service.model, service.encoder)
         np.testing.assert_array_equal(stacked, bare)
-        np.testing.assert_array_equal(stacked, per_layer)
+        np.testing.assert_array_equal(stacked, fresh.predict_plans(PLANS))
         assert service.metrics.counter("serve.fused.forwards").value > 0
 
     def test_error_faults_degrade_not_bypass(self, service):

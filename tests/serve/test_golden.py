@@ -114,33 +114,39 @@ class TestGoldenServe:
 
 
 class TestGoldenFused:
-    """The fused serving kernel is anchored to the same golden file.
+    """The fused serving step is anchored to the same golden file.
 
-    The module fixture's DACE serves through the fused kernel by default,
-    so ``test_predictions_match_golden`` above already pins fused output
-    to the golden values; these tests make the dispatch explicit and pin
-    fused == per-layer == golden in one place.
+    The module fixture's DACE serves through ``FusedInferStep``, so
+    ``test_predictions_match_golden`` above already pins its output to
+    the golden values; these tests make the dispatch explicit and pin
+    fused == autograd == golden in one place.
     """
 
     def test_fused_engaged_for_golden_predictions(self, golden_setup):
         dace, _, _ = golden_setup
-        assert dace.service.fused_active
         assert dace.metrics.counter("serve.fused.forwards").value > 0
+        assert dace.metrics.counter("serve.fused.fallbacks").value == 0
 
     def test_fused_vs_per_layer_vs_golden(self, golden_setup):
-        """Same weights, fused on vs pinned off: byte-equal, both golden."""
-        from repro.serve import EstimatorService
+        """The autograd forward, plan by plan at each plan's padded
+        width, gives the served bits, and so the golden values."""
+        from repro.featurize import catch_plan
+        from repro.nn import no_grad
 
         dace, plans, predictions = golden_setup
-        per_layer = EstimatorService(
-            dace.model, dace.encoder,
-            batch_size=dace.service.batch_size, fused=False,
-        )
-        unfused = per_layer.predict_plans(plans)
-        np.testing.assert_array_equal(unfused, predictions)
+        logs = []
+        with no_grad():
+            for plan in plans:
+                caught = catch_plan(plan)
+                batch = dace.encoder.encode_batch(
+                    [caught], with_labels=False,
+                    pad_to=dace.service._pad_width(caught.num_nodes),
+                )
+                logs.append(dace.model(batch).data[0, 0])
+        autograd = np.exp(np.array(logs))
+        np.testing.assert_array_equal(autograd, predictions)
         golden = np.load(GOLDEN_PATH)["predictions"]
-        np.testing.assert_allclose(unfused, golden, rtol=1e-7)
-        assert per_layer.metrics.counter("serve.fused.forwards").value == 0
+        np.testing.assert_allclose(autograd, golden, rtol=1e-7)
 
     def test_workers_vs_serial_with_fused(self, golden_setup):
         """workers=8 == workers=1 == plain service, fused engaged."""
