@@ -34,17 +34,6 @@ def clear_caches() -> None:
         cache.clear()
 
 
-def metric_registries() -> List:
-    """Obs registries of every cached model.
-
-    ``encodecache.*`` traffic from the fig/tab runners lands on the
-    per-model registries of the DACE instances this module caches; the
-    experiment runner sweeps them (before/after deltas) so both fan-out
-    backends can report cache traffic truthfully.
-    """
-    return [dace.metrics for dace in _DACE.values()]
-
-
 def primary_machine(scale: BenchScale) -> MachineProfile:
     """The scale's label-collection machine (the ``machine`` axis)."""
     return resolve_machine(getattr(scale, "machine", "M1"))
@@ -106,13 +95,9 @@ def training_sets(
 
 
 def _dace_training(scale: BenchScale) -> TrainingConfig:
-    # encode_cache: the fig/tab runners retrain across 19-of-20 database
-    # splits, so most splits re-see datasets an earlier run already
-    # encoded; the on-disk cache turns those into byte-exact .npz loads.
     return TrainingConfig(
         epochs=scale.dace_epochs, batch_size=64, lr=1e-3,
         patience=max(scale.dace_epochs // 4, 3), seed=scale.seed,
-        encode_cache=True,
     )
 
 

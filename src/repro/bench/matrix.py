@@ -1,12 +1,11 @@
 """Experiment-matrix throughput: process fan-out vs serial execution.
 
 The contract pinned here: on a cache-unfriendly mini-matrix (chaos
-replays under distinct seeds, so neither the in-process model caches nor
-the on-disk encoding cache can share work between cells) the spawn-based
-process backend at 4 workers beats a serial run by wall clock while the
-stored cell files stay byte-identical (modulo the two timing fields,
-``wall_seconds`` and ``created_unix``, which record *when/how long*, not
-*what*).
+replays under distinct seeds, so the in-process model caches cannot share
+work between cells) the spawn-based process backend at 4 workers beats a
+serial run by wall clock while the stored cell files stay byte-identical
+(modulo the two timing fields, ``wall_seconds`` and ``created_unix``,
+which record *when/how long*, not *what*).
 
 CI runs this cell and gates it with ``repro exp check exp_matrix``; the
 ≥2x speedup gate only arms on machines with at least 4 CPUs (a
@@ -56,24 +55,15 @@ def _normalized_cells(cells_dir: str) -> Dict[str, str]:
 def _run_backend(
     spec, backend: str, workers: int, root: str
 ) -> Tuple[float, object]:
-    """One full matrix run in a private results+cache sandbox."""
+    """One full matrix run in a private results sandbox."""
     from repro.experiments import ResultsStore, Runner
-    from repro.workloads.encoded import CACHE_DIR_ENV
 
-    saved = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = os.path.join(root, "cache")
     # Spawn children start cold; level the field for in-process runs.
     clear_caches()
-    try:
-        store = ResultsStore(root=os.path.join(root, "results"),
-                             scale=spec.scale_name)
-        runner = Runner(store, workers=workers, backend=backend)
-        return seconds(lambda: runner.run(spec))
-    finally:
-        if saved is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = saved
+    store = ResultsStore(root=os.path.join(root, "results"),
+                         scale=spec.scale_name)
+    runner = Runner(store, workers=workers, backend=backend)
+    return seconds(lambda: runner.run(spec))
 
 
 # Parallelism must be free: both backends store the same cells, byte

@@ -326,28 +326,6 @@ def _serve_report(args: argparse.Namespace, metrics, n_plans: int,
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or clear the on-disk encoding cache."""
-    from repro.workloads.encoded import EncodingCache
-
-    cache = EncodingCache(args.dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached encoding(s) from {cache.directory}")
-        return 0
-    entries = cache.entries()
-    if not entries:
-        print(f"encoding cache at {cache.directory} is empty")
-        return 0
-    rows = [[name, size] for name, size in entries]
-    print(format_table(
-        ["entry", "bytes"], rows,
-        title=f"encoding cache at {cache.directory} "
-              f"({cache.total_bytes} bytes total)",
-    ))
-    return 0
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Pretty-print (or convert) a JSON-lines metrics dump."""
     from repro.obs import load_json_lines
@@ -668,16 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "from the optimizer-cost fallback, flagged, "
                             "even without --chaos")
     serve.set_defaults(func=_cmd_serve)
-
-    cache = sub.add_parser(
-        "cache", help="inspect or clear the on-disk encoding cache"
-    )
-    cache.add_argument("action", choices=["inspect", "clear"],
-                       nargs="?", default="inspect")
-    cache.add_argument("--dir", default=None,
-                       help="cache directory (default: $REPRO_CACHE_DIR "
-                            "or ~/.cache/repro)")
-    cache.set_defaults(func=_cmd_cache)
 
     obs = sub.add_parser(
         "obs", help="pretty-print a JSON-lines metrics dump"

@@ -42,15 +42,22 @@ _RETIRED_TRAINING = {
     "weight_decay": 0.0,
 }
 
+# Retired options that never changed a weight (the on-disk encoding
+# cache served byte-exact arrays), dropped at any saved value.
+_RETIRED_INERT = ("encode_cache", "encode_cache_dir")
+
 
 def _saved_training(saved: dict) -> TrainingConfig:
     """A saved ``meta.json`` training block as a :class:`TrainingConfig`.
 
     A retired option at its old default is dropped; any other value
     means the model was trained for something else (a quantile model is
-    not a q-error DACE), so loading refuses it.
+    not a q-error DACE), so loading refuses it.  Options that never
+    changed the weights are dropped whatever their value.
     """
     fields = dict(saved)
+    for key in _RETIRED_INERT:
+        fields.pop(key, None)
     for key, default in _RETIRED_TRAINING.items():
         if key in fields and fields.pop(key) != default:
             raise ValueError(

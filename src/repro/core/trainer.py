@@ -7,7 +7,6 @@ fully deterministic given the seed.
 
 The data path is encode-once: ``fit`` encodes the training and validation
 plans a single time into an :class:`~repro.workloads.encoded.EncodedDataset`
-(optionally via the on-disk :class:`~repro.workloads.encoded.EncodingCache`)
 and reuses the padded batches across every epoch.  Batch composition is
 the same deterministic size-bucketing as before and only the batch order
 is shuffled by the seeded RNG, so the loss trajectory and final weights
@@ -29,7 +28,7 @@ from repro.nn import Adam, no_grad
 from repro.nn.losses import log_qerror_loss, log_qerror_loss_np
 from repro.obs import MetricsRegistry
 from repro.workloads.dataset import PlanDataset
-from repro.workloads.encoded import EncodedDataset, EncodingCache
+from repro.workloads.encoded import EncodedDataset
 
 
 @dataclass
@@ -43,12 +42,6 @@ class TrainingConfig:
     validation_fraction: float = 0.1
     seed: int = 0
     verbose: bool = False
-    # Persist encoded datasets to the on-disk cache so repeat runs (the
-    # bench_fig*/bench_tab* scripts re-training across database splits)
-    # skip re-encoding entirely.  The cache key covers the encoder state
-    # and the dataset content, so a hit is always byte-exact.
-    encode_cache: bool = False
-    encode_cache_dir: Optional[str] = None
 
 
 def catch_dataset(dataset: PlanDataset) -> List[CaughtPlan]:
@@ -74,29 +67,6 @@ class Trainer:
         self.history: List[dict] = []
 
     # ------------------------------------------------------------------ #
-    def _batches(
-        self, plans: Sequence[CaughtPlan], rng: np.random.Generator
-    ) -> List[List[CaughtPlan]]:
-        # Sort by node count, then slice batches and shuffle batch order:
-        # uniform-ish padding without biasing the gradient schedule.
-        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-        size = self.config.batch_size
-        batches = [
-            [plans[i] for i in order[start:start + size]]
-            for start in range(0, len(order), size)
-        ]
-        rng.shuffle(batches)
-        return batches
-
-    def _encode_once(self, plans: Sequence[CaughtPlan]) -> EncodedDataset:
-        """Encode ``plans`` a single time, via the on-disk cache if enabled."""
-        if self.config.encode_cache:
-            cache = EncodingCache(
-                self.config.encode_cache_dir, metrics=self.metrics
-            )
-            return cache.get_or_encode(self.encoder, plans)
-        return EncodedDataset.encode(self.encoder, plans)
-
     def _epoch_loss(
         self,
         batches: Sequence[EncodedBatch],
@@ -155,10 +125,11 @@ class Trainer:
         with self.metrics.timer(
             "train.encode_seconds", help="one-time dataset encoding"
         ):
-            train_data = self._encode_once(train_plans)
-            train_batches = train_data.bucketed_batches(config.batch_size)
+            train_batches = EncodedDataset.encode(
+                self.encoder, train_plans
+            ).bucketed_batches(config.batch_size)
             val_batches = (
-                self._encode_once(val_plans)
+                EncodedDataset.encode(self.encoder, val_plans)
                 .sequential_batches(config.batch_size)
                 if val_plans else []
             )

@@ -31,9 +31,7 @@ Backends:
   a crashed child (segfault, ``os._exit``, OOM kill) breaks the pool
   but the runner rebuilds it and retries the in-flight cells once
   (a cell whose retry also dies is marked failed), and unpicklable
-  payloads fail fast with an actionable message.  Child obs counters
-  (``encodecache.*``) are serialized back per cell and merged into the
-  parent registry so ``--metrics`` stays truthful.
+  payloads fail fast with an actionable message.
 
 Axis routing: each config param is either a ``BenchScale`` field (applied
 with ``dataclasses.replace`` — lists round-trip back to tuples) or a
@@ -57,8 +55,7 @@ from repro.experiments.matrix import ExperimentSpec
 from repro.experiments.registry import get_cell
 from repro.experiments.store import CellResult, ResultsStore, RunSummary, \
     jsonable
-from repro.experiments.worker import counter_deltas, counter_totals, \
-    fn_reference, run_cell
+from repro.experiments.worker import fn_reference, run_cell
 
 BACKENDS = ("thread", "process")
 
@@ -89,11 +86,9 @@ class Runner:
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) receives
     ``experiments.cells_run`` / ``cells_skipped`` / ``cells_failed`` /
     ``cells_corrupt`` counters and the ``experiments.cell_seconds``
-    histogram; under both backends ``encodecache.*`` traffic produced by
-    the cells is merged in as well.  ``on_cell(status, config,
-    wall_seconds)`` fires after each cell with status
-    ``"ran"``/``"skipped"``/``"failed"`` — the CLI uses it for per-cell
-    progress lines.
+    histogram.  ``on_cell(status, config, wall_seconds)`` fires after
+    each cell with status ``"ran"``/``"skipped"``/``"failed"`` — the CLI
+    uses it for per-cell progress lines.
 
     ``timeout_s`` (process backend only) bounds each cell's wall clock,
     measured from hand-off to an idle child; it includes the child's
@@ -294,11 +289,6 @@ class Runner:
         )
         lock = threading.Lock()
         started = time.perf_counter()
-        # In-process cells route encodecache.* traffic to the per-model
-        # registries of repro.bench.cache; merge the run's delta so both
-        # backends report the same namespaces (children report their own
-        # deltas per cell).
-        local_before = counter_totals()
 
         if self.backend == "process":
             self._run_process(planned, summary, force, lock)
@@ -331,10 +321,6 @@ class Runner:
                 with ThreadPoolExecutor(max_workers=self.workers) as pool:
                     list(pool.map(execute, planned))
 
-        for name, delta in counter_deltas(
-            local_before, counter_totals()
-        ).items():
-            self.metrics.counter(name).inc(delta)
         summary.wall_seconds = time.perf_counter() - started
         return summary
 
@@ -401,8 +387,6 @@ class Runner:
                     cell, child["table"], child["results"],
                     child["wall_seconds"], summary, lock,
                 )
-                for name, delta in child.get("counters", {}).items():
-                    self.metrics.counter(name).inc(delta)
             elif isinstance(exc, BrokenExecutor):
                 fail_broken(cell)
             else:

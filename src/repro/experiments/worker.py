@@ -7,13 +7,12 @@ closure.  :func:`run_cell` re-resolves the cell function inside the
 child (``ensure_builtin_cells()`` first, then an import of the shipped
 reference for cells registered outside ``repro.bench``), executes it,
 and returns a picklable record: the rendered table, the JSON-sanitized
-results, the child-side wall time, and the delta of every interesting
-obs counter so the parent can merge child traffic into its registry.
+results and the child-side wall time.
 
 Everything in this module must be importable under the ``spawn`` start
 method — no state is inherited from the parent beyond ``sys.path`` and
-the environment (``REPRO_CACHE_DIR``/``REPRO_RESULTS_DIR`` therefore
-propagate to children automatically).
+the environment (``REPRO_RESULTS_DIR`` therefore propagates to children
+automatically).
 """
 
 from __future__ import annotations
@@ -23,13 +22,6 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.store import jsonable
-
-#: Counter namespaces harvested from the child and merged into the
-#: parent registry.  ``encodecache.*`` traffic lands on the per-model
-#: registries of the models the bench cells pre-train; without the
-#: harvest a process run would report zero cache activity while the
-#: thread backend reports real numbers.
-CHILD_COUNTER_PREFIXES: Tuple[str, ...] = ("encodecache.", "experiments.")
 
 FnRef = Optional[Tuple[str, str]]
 
@@ -87,43 +79,6 @@ def resolve_cell(experiment: str, fn_ref: FnRef):
     return fn
 
 
-def counter_totals() -> Dict[str, int]:
-    """Current totals of every harvested counter in this process.
-
-    Sweeps the registries of the models cached by ``repro.bench.cache``
-    (where ``encodecache.*`` traffic lands).  Called before and after a
-    cell so the per-cell *delta* can be shipped back — pool workers are
-    reused across cells, so absolute totals would double-count.
-    """
-    totals: Dict[str, int] = {}
-    try:
-        from repro.bench.cache import metric_registries
-    except ImportError:  # pragma: no cover - bench always present here
-        return totals
-    from repro.obs import Counter
-
-    for registry in metric_registries():
-        for metric in registry:
-            if isinstance(metric, Counter) and metric.name.startswith(
-                CHILD_COUNTER_PREFIXES
-            ):
-                totals[metric.name] = totals.get(metric.name, 0) \
-                    + metric.value
-    return totals
-
-
-def counter_deltas(
-    before: Dict[str, int], after: Dict[str, int]
-) -> Dict[str, int]:
-    """Per-cell counter increments (non-positive deltas are dropped)."""
-    deltas: Dict[str, int] = {}
-    for name, total in after.items():
-        delta = total - before.get(name, 0)
-        if delta > 0:
-            deltas[name] = delta
-    return deltas
-
-
 def run_cell(
     experiment: str,
     scale: Any,
@@ -138,7 +93,6 @@ def run_cell(
     to the thread backend.
     """
     fn = resolve_cell(experiment, fn_ref)
-    before = counter_totals()
     start = time.perf_counter()
     result = fn(scale, **kwargs)
     wall = time.perf_counter() - start
@@ -148,5 +102,4 @@ def run_cell(
         "table": table,
         "results": jsonable(payload),
         "wall_seconds": wall,
-        "counters": counter_deltas(before, counter_totals()),
     }

@@ -169,9 +169,9 @@ class PlanEncoder:
         """Node encodings of shape (n, self.dim), dtype float64.
 
         float64 is the encoding contract: every downstream consumer
-        (autograd tensors, the graph-free serving kernels, the on-disk
-        encoding cache) assumes it, and the bit-identity guarantees
-        between those paths depend on it.
+        (autograd tensors, the graph-free serving kernels, the
+        encode-once training datasets) assumes it, and the bit-identity
+        guarantees between those paths depend on it.
         """
         if not self.is_fit:
             raise RuntimeError("encoder must be fit before encoding")

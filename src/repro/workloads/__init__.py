@@ -10,12 +10,7 @@
 """
 
 from repro.workloads.dataset import PlanDataset, PlanSample, collect_workload
-from repro.workloads.encoded import (
-    EncodedDataset,
-    EncodingCache,
-    default_cache_dir,
-    encoding_cache_key,
-)
+from repro.workloads.encoded import EncodedDataset
 from repro.workloads.zeroshot import workload1, workload2
 from repro.workloads.mscn import Workload3, build_workload3
 from repro.workloads.drift import drift_datasets
@@ -27,9 +22,6 @@ __all__ = [
     "PlanDataset",
     "collect_workload",
     "EncodedDataset",
-    "EncodingCache",
-    "encoding_cache_key",
-    "default_cache_dir",
     "workload1",
     "workload2",
     "Workload3",

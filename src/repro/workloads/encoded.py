@@ -14,44 +14,17 @@ bit-identical to what per-epoch re-encoding would have produced.  Batch
 ``batch_size`` groups — the same deterministic grouping the trainer always
 used); only the batch *order* is shuffled per epoch by the trainer's
 seeded RNG, so the gradient schedule does not change by a single bit.
-
-:class:`EncodingCache` adds an on-disk tier: ``.npz`` files keyed by a
-content hash of the encoder state plus the dataset fingerprint, so
-separate processes (the ``bench_fig*``/``bench_tab*`` scripts re-running
-19-of-20 database splits) skip re-encoding entirely.  Cache traffic is
-observable through ``encodecache.*`` counters and manageable through the
-``repro cache`` CLI.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
-import zipfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.featurize.catcher import CaughtPlan
 from repro.featurize.encoder import LABEL_EPS_MS, EncodedBatch, PlanEncoder
 from repro.featurize.loss_weights import loss_weights
-from repro.obs import MetricsRegistry
-
-#: Environment override for the on-disk encoding cache location.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Bumped whenever the on-disk layout or the encoding semantics change:
-#: a version mismatch can never alias because it is part of the key.
-_FORMAT_VERSION = 1
-
-
-def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
 class EncodedDataset:
@@ -131,19 +104,6 @@ class EncodedDataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    @property
-    def has_labels(self) -> bool:
-        return self.labels is not None
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate in-memory footprint of the per-plan arrays."""
-        total = self.node_counts.nbytes
-        for arrays in (self.features, self.adjacency, self.heights,
-                       self.weights, self.labels or []):
-            total += sum(a.nbytes for a in arrays)
-        return total
-
     # ------------------------------------------------------------------ #
     # Batch assembly
     # ------------------------------------------------------------------ #
@@ -218,259 +178,3 @@ class EncodedDataset:
             ]
             self._sequential[batch_size] = cached
         return cached
-
-    # ------------------------------------------------------------------ #
-    # On-disk serialization (ragged arrays stored flat + offsets)
-    # ------------------------------------------------------------------ #
-    def save(self, path: str) -> None:
-        """Write the per-plan arrays to one ``.npz`` file."""
-        arrays = {
-            "version": np.array(_FORMAT_VERSION, dtype=np.int64),
-            "node_counts": self.node_counts,
-            "features": np.concatenate(self.features, axis=0),
-            "heights": np.concatenate(self.heights),
-            "weights": np.concatenate(self.weights),
-            "adjacency": np.concatenate(
-                [a.reshape(-1) for a in self.adjacency]
-            ),
-            "has_labels": np.array(self.labels is not None),
-        }
-        if self.labels is not None:
-            arrays["labels"] = np.concatenate(self.labels)
-        # Through an open handle, not a path: np.savez silently renames
-        # path-like targets that do not end in ``.npz``, which would break
-        # the cache's write-to-temp-then-replace protocol.
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
-
-    @classmethod
-    def load(cls, path: str) -> "EncodedDataset":
-        """Load a dataset written by :meth:`save`, byte-for-byte."""
-        with np.load(path) as archive:
-            version = int(archive["version"])
-            if version != _FORMAT_VERSION:
-                raise ValueError(
-                    f"encoded dataset format v{version} is not v"
-                    f"{_FORMAT_VERSION}"
-                )
-            counts = archive["node_counts"]
-            offsets = np.cumsum(counts)[:-1]
-            features = np.split(archive["features"], offsets, axis=0)
-            heights = np.split(archive["heights"], offsets)
-            weights = np.split(archive["weights"], offsets)
-            square_offsets = np.cumsum(counts * counts)[:-1]
-            adjacency = [
-                flat.reshape(n, n) for flat, n in zip(
-                    np.split(archive["adjacency"], square_offsets),
-                    counts,
-                )
-            ]
-            labels = None
-            if bool(archive["has_labels"]):
-                labels = np.split(archive["labels"], offsets)
-        return cls(
-            features=features,
-            adjacency=adjacency,
-            heights=heights,
-            weights=weights,
-            labels=labels,
-        )
-
-
-# ---------------------------------------------------------------------- #
-# Cache keys
-# ---------------------------------------------------------------------- #
-def encoding_cache_key(
-    encoder: PlanEncoder,
-    plans: Sequence[CaughtPlan],
-    with_labels: bool = True,
-) -> str:
-    """Content hash of everything that determines the encoded arrays.
-
-    Covers the fitted encoder state (alpha, card source, extra features,
-    the robust scaler's center/scale — refitting the encoder changes the
-    key, which is the cache's invalidation story), the on-disk format
-    version, and every plan's fingerprint in order, plus the label bytes
-    when labels are requested (two datasets with identical plans but
-    different measured latencies must never alias).
-    """
-    if not encoder.is_fit:
-        raise RuntimeError("encoder must be fit before computing cache keys")
-    digest = hashlib.blake2b(digest_size=16)
-    header = (
-        f"v{_FORMAT_VERSION}:alpha={encoder.alpha!r}"
-        f":card={encoder.card_source}"
-        f":extra={encoder.extra_features}"
-        f":labels={with_labels}"
-    )
-    digest.update(header.encode("ascii"))
-    digest.update(np.asarray(encoder.scaler.center_,
-                             dtype=np.float64).tobytes())
-    digest.update(np.asarray(encoder.scaler.scale_,
-                             dtype=np.float64).tobytes())
-    for plan in plans:
-        digest.update(plan.fingerprint().encode("ascii"))
-        if with_labels:
-            if plan.actual_times is None:
-                raise ValueError("plan has no labels; executed plans needed")
-            digest.update(plan.actual_times.tobytes())
-    return digest.hexdigest()
-
-
-# ---------------------------------------------------------------------- #
-# On-disk cache
-# ---------------------------------------------------------------------- #
-class EncodingCache:
-    """Content-addressed ``.npz`` store for :class:`EncodedDataset`.
-
-    Writes are atomic (temp file + ``os.replace``) so concurrent
-    benchmark processes can share one directory; unreadable or corrupt
-    entries are treated as misses.  Traffic lands on ``encodecache.*``
-    counters of the supplied registry.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.directory = directory if directory else default_cache_dir()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._hits = self.metrics.counter(
-            "encodecache.hits", help="encoded datasets served from disk"
-        )
-        self._misses = self.metrics.counter(
-            "encodecache.misses", help="encoded datasets built from scratch"
-        )
-        self._bytes_read = self.metrics.counter(
-            "encodecache.bytes_read", help="bytes loaded from the cache"
-        )
-        self._bytes_written = self.metrics.counter(
-            "encodecache.bytes_written", help="bytes stored into the cache"
-        )
-
-    def path(self, key: str) -> str:
-        return os.path.join(self.directory, f"encoded-{key}.npz")
-
-    # ------------------------------------------------------------------ #
-    def load(self, key: str) -> Optional[EncodedDataset]:
-        """The cached dataset for ``key``, or None (counted as a miss)."""
-        path = self.path(key)
-        try:
-            size = os.path.getsize(path)
-            dataset = EncodedDataset.load(path)
-        except FileNotFoundError:
-            self._misses.inc()
-            return None
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # A torn or stale file must never poison training: drop it
-            # and rebuild.
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self._misses.inc()
-            return None
-        self._hits.inc()
-        self._bytes_read.inc(size)
-        return dataset
-
-    def store(self, key: str, dataset: EncodedDataset) -> str:
-        """Atomically persist ``dataset`` under ``key``; returns the path.
-
-        Safe under concurrent multi-process writers: each writer stages
-        into its own ``mkstemp`` file and publishes with ``os.replace``,
-        so the final path only ever holds a complete file and the last
-        writer wins.  If another process clears the cache directory
-        mid-write (``repro cache clear``), the vanished-directory
-        ``FileNotFoundError`` is retried once against a re-created
-        directory rather than failing the training run.
-        """
-        path = self.path(key)
-        for attempt in (0, 1):
-            os.makedirs(self.directory, exist_ok=True)
-            try:
-                fd, tmp = tempfile.mkstemp(
-                    prefix=".encoded-", suffix=".npz.tmp", dir=self.directory
-                )
-            except FileNotFoundError:
-                if attempt:
-                    raise
-                continue
-            try:
-                os.close(fd)
-                dataset.save(tmp)
-                size = os.path.getsize(tmp)
-                os.replace(tmp, path)
-            except FileNotFoundError:
-                # The directory (tmp file included) vanished under us.
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                if attempt:
-                    raise
-                continue
-            except BaseException:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                raise
-            self._bytes_written.inc(size)
-            return path
-        raise OSError(  # pragma: no cover - loop always returns or raises
-            f"could not persist encoding cache entry {path}"
-        )
-
-    def get_or_encode(
-        self,
-        encoder: PlanEncoder,
-        plans: Sequence[CaughtPlan],
-        with_labels: bool = True,
-    ) -> EncodedDataset:
-        """Serve from disk when possible, else encode once and persist."""
-        key = encoding_cache_key(encoder, plans, with_labels=with_labels)
-        dataset = self.load(key)
-        if dataset is None:
-            dataset = EncodedDataset.encode(
-                encoder, plans, with_labels=with_labels
-            )
-            self.store(key, dataset)
-        return dataset
-
-    # ------------------------------------------------------------------ #
-    # Inspection / maintenance (the `repro cache` CLI)
-    # ------------------------------------------------------------------ #
-    def entries(self) -> List[Tuple[str, int]]:
-        """(filename, size in bytes) for every cached encoding."""
-        try:
-            names = sorted(os.listdir(self.directory))
-        except FileNotFoundError:
-            return []
-        out: List[Tuple[str, int]] = []
-        for name in names:
-            if not (name.startswith("encoded-") and name.endswith(".npz")):
-                continue
-            try:
-                out.append(
-                    (name, os.path.getsize(os.path.join(self.directory, name)))
-                )
-            except OSError:
-                continue
-        return out
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(size for _, size in self.entries())
-
-    def clear(self) -> int:
-        """Delete every cached encoding; returns how many were removed."""
-        removed = 0
-        for name, _ in self.entries():
-            try:
-                os.remove(os.path.join(self.directory, name))
-                removed += 1
-            except OSError:
-                continue
-        return removed

@@ -5,6 +5,7 @@ shape checks happen at the benchmark scale (see EXPERIMENTS.md).
 """
 
 import itertools
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -178,6 +179,21 @@ class TestCaching:
         a = pretrain_dace(TINY, exclude="imdb")
         b = pretrain_dace(TINY, exclude="imdb", alpha=1.0)
         assert a is not b
+
+    def test_bench_fit_writes_nothing_outside_results(
+        self, monkeypatch, tmp_path, train_datasets
+    ):
+        """A bench-config fit keeps everything in memory: with ``HOME``
+        pointed at an empty directory and no ``REPRO_*`` override set,
+        the directory is still empty after the fit."""
+        from repro.bench.cache import _dace_training
+        from repro.core import DACE
+
+        monkeypatch.setenv("HOME", str(tmp_path))
+        for name in [n for n in os.environ if n.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        DACE(training=_dace_training(SMOKE)).fit(train_datasets[0])
+        assert os.listdir(tmp_path) == []
 
 
 class TestTab2EpochCounting:

@@ -210,8 +210,9 @@ class TestPersistence:
     @staticmethod
     def _write_older_meta(path, **retired):
         """Rewrite ``meta.json``'s training block as models saved before
-        the quantile objective, LR schedules, gradient clipping and
-        weight decay were retired wrote it: all fourteen keys."""
+        the quantile objective, LR schedules, gradient clipping, weight
+        decay and the on-disk encoding cache were retired wrote it: all
+        fourteen keys."""
         import json
         import os
 
@@ -240,6 +241,19 @@ class TestPersistence:
         np.testing.assert_array_equal(
             fitted_dace.predict(test_dataset), loaded.predict(test_dataset)
         )
+
+    def test_older_meta_with_encode_cache_on_loads(self, fitted_dace,
+                                                   test_dataset, tmp_path):
+        # The retired on-disk encoding cache never changed a weight, so
+        # a model saved with it switched on loads whatever it was set to.
+        before = fitted_dace.predict(test_dataset)
+        path = str(tmp_path / "cached")
+        fitted_dace.save(path)
+        self._write_older_meta(path, encode_cache=True,
+                               encode_cache_dir="/somewhere")
+        loaded = DACE.load(path)
+        assert loaded.training == fitted_dace.training
+        np.testing.assert_array_equal(before, loaded.predict(test_dataset))
 
     @pytest.mark.parametrize("key,value", [
         ("objective", "quantile"), ("quantile_tau", 0.9),

@@ -1,11 +1,13 @@
 """Trainer mechanics: validation, early stopping, history, batching."""
 
-import numpy as np
-import pytest
+from collections import Counter
 
-from repro.core import DACE, DACEModel, Trainer, TrainingConfig
+import numpy as np
+
+from repro.core import DACE, TrainingConfig
 from repro.core.trainer import catch_dataset
 from repro.featurize import PlanEncoder
+from repro.workloads.encoded import EncodedDataset
 
 
 class TestHistory:
@@ -63,31 +65,38 @@ class TestEarlyStopping:
 
 
 class TestBatching:
-    def test_batches_cover_all_plans_once(self, train_datasets):
+    """The batch composition ``fit`` trains on: size-bucketed batches of
+    an :class:`EncodedDataset`, whose order it shuffles per epoch."""
+
+    @staticmethod
+    def _encoded(train_datasets):
         encoder = PlanEncoder()
         plans = catch_dataset(train_datasets[0])
         encoder.fit(plans)
-        trainer = Trainer(DACEModel(), encoder,
-                          TrainingConfig(batch_size=16))
-        rng = np.random.default_rng(0)
-        batches = trainer._batches(plans, rng)
-        total = sum(len(b) for b in batches)
-        assert total == len(plans)
-        assert all(len(b) <= 16 for b in batches)
+        return encoder, plans, EncodedDataset.encode(encoder, plans)
+
+    def test_batches_cover_all_plans_once(self, train_datasets):
+        encoder, plans, data = self._encoded(train_datasets)
+        batches = data.bucketed_batches(16)
+        assert sum(b.batch_size for b in batches) == len(plans)
+        assert all(b.batch_size <= 16 for b in batches)
+        served = Counter(
+            b.features[row, :n].tobytes()
+            for b in batches
+            for row, n in enumerate(b.valid.sum(axis=1))
+        )
+        assert served == Counter(
+            encoder.encode_plan(p).tobytes() for p in plans
+        )
 
     def test_batches_grouped_by_size(self, train_datasets):
         """Within a batch, node counts should be close (padding economy)."""
-        encoder = PlanEncoder()
-        plans = catch_dataset(train_datasets[0])
-        encoder.fit(plans)
-        trainer = Trainer(DACEModel(), encoder,
-                          TrainingConfig(batch_size=16))
-        batches = trainer._batches(plans, np.random.default_rng(0))
+        _, plans, data = self._encoded(train_datasets)
         global_spread = (
             max(p.num_nodes for p in plans) - min(p.num_nodes for p in plans)
         )
         spreads = [
-            max(p.num_nodes for p in b) - min(p.num_nodes for p in b)
-            for b in batches if len(b) > 1
+            int(np.ptp(b.valid.sum(axis=1)))
+            for b in data.bucketed_batches(16) if b.batch_size > 1
         ]
         assert np.mean(spreads) < max(global_spread, 1)

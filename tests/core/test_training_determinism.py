@@ -142,29 +142,6 @@ def test_pipeline_matches_seed_loop_exactly(train_datasets, config):
     _assert_same_run(history_a, trainer.history, model_a, model_b)
 
 
-def test_disk_cache_does_not_change_a_bit(train_datasets, config, tmp_path):
-    """encode_cache=True: first fit populates the cache, second fit
-    trains from the loaded arrays — identical runs either way."""
-    train = train_datasets[0]
-    runs = []
-    for _ in range(2):
-        model = DACEModel(rng=np.random.default_rng(0))
-        cached_config = TrainingConfig(
-            epochs=config.epochs, batch_size=config.batch_size,
-            validation_fraction=config.validation_fraction,
-            patience=config.patience, seed=config.seed,
-            encode_cache=True, encode_cache_dir=str(tmp_path),
-        )
-        trainer = Trainer(model, PlanEncoder(), cached_config)
-        trainer.fit(train)
-        runs.append((trainer.history, model))
-        assert trainer.metrics.counter("encodecache.misses").value + \
-            trainer.metrics.counter("encodecache.hits").value > 0
-    # Second run must have hit the cache for both splits.
-    assert runs[1][1] is not None
-    _assert_same_run(runs[0][0], runs[1][0], runs[0][1], runs[1][1])
-
-
 def test_autograd_fallback_still_trains(train_datasets, config):
     """A ``DACEModel`` subclass falls back to the autograd path; make sure
     the fallback branch actually runs end to end."""

@@ -15,7 +15,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,11 +28,7 @@ from repro.experiments import (
     register_cell,
 )
 from repro.experiments.registry import _CELLS
-from repro.experiments.worker import (
-    counter_deltas,
-    fn_reference,
-    resolve_cell,
-)
+from repro.experiments.worker import fn_reference, resolve_cell
 from repro.metrics.tables import format_table
 
 _REPO_ROOT = os.path.dirname(
@@ -71,19 +66,6 @@ def erroring_cell(scale: BenchScale) -> dict:
     raise RuntimeError("child says no")
 
 
-def fake_metrics_cell(scale: BenchScale) -> dict:
-    """Plants a registry where the child counter harvest sweeps."""
-    from repro.bench import cache
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.counter("encodecache.hits").inc(3)
-    cache._DACE[("fake-metrics", scale.seed)] = types.SimpleNamespace(
-        metrics=registry
-    )
-    return {"table": "metrics planted", "ok": True}
-
-
 @dataclasses.dataclass(frozen=True)
 class WeirdScale(BenchScale):
     """A scale that cannot be pickled (callable field)."""
@@ -103,13 +85,9 @@ def registered_cells():
     register_cell("crasher", crasher_cell)
     register_cell("sleeper", sleeper_cell)
     register_cell("erroring", erroring_cell)
-    register_cell("fake-metrics", fake_metrics_cell)
     yield
-    for name in ("proc", "crasher", "sleeper", "erroring", "fake-metrics"):
+    for name in ("proc", "crasher", "sleeper", "erroring"):
         _CELLS.pop(name, None)
-    from repro.bench.cache import clear_caches
-
-    clear_caches()
 
 
 def normalized_cells(root) -> dict:
@@ -290,23 +268,6 @@ class TestFailureModes:
 
 
 # --------------------------------------------------------------------- #
-# Child metrics merge into the parent registry
-# --------------------------------------------------------------------- #
-class TestMetricsMerge:
-    def test_child_counters_merge(self, tmp_path):
-        spec = ExperimentSpec("fake-metrics", scale="smoke")
-        runner = make_runner(tmp_path, "p", workers=1, backend="process")
-        assert not runner.run(spec).failed
-        assert runner.metrics.counter("encodecache.hits").value == 3
-
-    def test_thread_backend_reports_same_namespace(self, tmp_path):
-        spec = ExperimentSpec("fake-metrics", scale="smoke")
-        runner = make_runner(tmp_path, "t", workers=1, backend="thread")
-        assert not runner.run(spec).failed
-        assert runner.metrics.counter("encodecache.hits").value == 3
-
-
-# --------------------------------------------------------------------- #
 # Cheap in-process pieces
 # --------------------------------------------------------------------- #
 class TestWorkerHelpers:
@@ -328,11 +289,6 @@ class TestWorkerHelpers:
         message = str(info.value)
         assert "backend='thread'" in message
         assert "never-registered-cell" in message
-
-    def test_counter_deltas_positive_only(self):
-        before = {"a": 5, "b": 2}
-        after = {"a": 8, "b": 2, "c": 4}
-        assert counter_deltas(before, after) == {"a": 3, "c": 4}
 
     def test_backend_validation(self, tmp_path):
         with pytest.raises(ValueError, match="valid backends"):

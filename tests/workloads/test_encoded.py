@@ -1,25 +1,16 @@
-"""Encode-once pipeline: EncodedDataset batches and the on-disk cache.
+"""Encode-once pipeline: EncodedDataset batches.
 
 The load-bearing property everywhere: pre-encoded batches must be
 *byte-identical* to what per-epoch ``encode_batch`` calls produce — that
 is the entire justification for swapping the pipeline into the trainer.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core.trainer import catch_dataset
 from repro.featurize import PlanEncoder
-from repro.obs import MetricsRegistry
-from repro.workloads.encoded import (
-    CACHE_DIR_ENV,
-    EncodedDataset,
-    EncodingCache,
-    default_cache_dir,
-    encoding_cache_key,
-)
+from repro.workloads.encoded import EncodedDataset
 
 BATCH_SIZE = 16
 
@@ -73,104 +64,8 @@ class TestEncodedDataset:
         first = data.bucketed_batches(BATCH_SIZE)
         assert data.bucketed_batches(BATCH_SIZE) is first
 
-    def test_disk_round_trip_is_byte_exact(self, encoded, tmp_path):
-        _, _, data = encoded
-        path = str(tmp_path / "data.npz")
-        data.save(path)
-        loaded = EncodedDataset.load(path)
-        assert len(loaded) == len(data)
-        np.testing.assert_array_equal(loaded.node_counts, data.node_counts)
-        for ours, reference in zip(
-            loaded.bucketed_batches(BATCH_SIZE),
-            data.bucketed_batches(BATCH_SIZE),
-        ):
-            _assert_batches_equal(ours, reference)
-            assert ours.features.tobytes() == reference.features.tobytes()
-
-    def test_load_rejects_future_format_versions(self, encoded, tmp_path):
-        _, _, data = encoded
-        path = str(tmp_path / "data.npz")
-        data.save(path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["version"] = np.array(999, dtype=np.int64)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="format"):
-            EncodedDataset.load(path)
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             EncodedDataset(features=[], adjacency=[], heights=[],
                            weights=[], labels=None)
 
-
-class TestCacheKey:
-    def test_key_covers_encoder_state(self, encoded):
-        encoder, plans, _ = encoded
-        base = encoding_cache_key(encoder, plans)
-        other = PlanEncoder(alpha=encoder.alpha * 0.5).fit(plans)
-        assert encoding_cache_key(other, plans) != base
-
-    def test_key_covers_plan_subset(self, encoded):
-        encoder, plans, _ = encoded
-        assert encoding_cache_key(encoder, plans) != \
-            encoding_cache_key(encoder, plans[:-1])
-
-    def test_unfit_encoder_rejected(self, encoded):
-        _, plans, _ = encoded
-        with pytest.raises(RuntimeError):
-            encoding_cache_key(PlanEncoder(), plans)
-
-
-class TestEncodingCache:
-    def test_miss_then_hit(self, encoded, tmp_path):
-        encoder, plans, _ = encoded
-        metrics = MetricsRegistry()
-        cache = EncodingCache(str(tmp_path), metrics=metrics)
-        first = cache.get_or_encode(encoder, plans)
-        assert metrics.counter("encodecache.misses").value == 1
-        assert metrics.counter("encodecache.hits").value == 0
-        second = cache.get_or_encode(encoder, plans)
-        assert metrics.counter("encodecache.hits").value == 1
-        assert metrics.counter("encodecache.bytes_read").value > 0
-        for ours, reference in zip(
-            second.bucketed_batches(BATCH_SIZE),
-            first.bucketed_batches(BATCH_SIZE),
-        ):
-            _assert_batches_equal(ours, reference)
-
-    def test_corrupt_entry_is_dropped_and_rebuilt(self, encoded, tmp_path):
-        encoder, plans, _ = encoded
-        metrics = MetricsRegistry()
-        cache = EncodingCache(str(tmp_path), metrics=metrics)
-        cache.get_or_encode(encoder, plans)
-        key = encoding_cache_key(encoder, plans)
-        with open(cache.path(key), "wb") as handle:
-            handle.write(b"not an npz file")
-        rebuilt = cache.get_or_encode(encoder, plans)
-        assert metrics.counter("encodecache.misses").value == 2
-        assert len(rebuilt) == len(plans)
-        # The torn file was replaced with a good one.
-        assert cache.load(key) is not None
-
-    def test_entries_and_clear(self, encoded, tmp_path):
-        encoder, plans, _ = encoded
-        cache = EncodingCache(str(tmp_path))
-        cache.get_or_encode(encoder, plans)
-        cache.get_or_encode(encoder, plans[:10])
-        entries = cache.entries()
-        assert len(entries) == 2
-        assert cache.total_bytes == sum(size for _, size in entries)
-        assert cache.clear() == 2
-        assert cache.entries() == []
-
-    def test_missing_directory_is_empty_not_error(self, tmp_path):
-        cache = EncodingCache(str(tmp_path / "never-created"))
-        assert cache.entries() == []
-        assert cache.clear() == 0
-
-    def test_default_dir_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        assert default_cache_dir() == str(tmp_path)
-        monkeypatch.delenv(CACHE_DIR_ENV)
-        assert default_cache_dir().endswith(os.path.join(".cache", "repro"))
