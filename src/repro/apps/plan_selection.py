@@ -6,25 +6,22 @@ re-ranks them by predicted latency and the winner is executed.  A better
 cost estimator translates directly into lower end-to-end latency, which is
 the practical payoff the paper's introduction promises.
 
-``PlanSelector`` works with any estimator exposing ``predict_plan`` (DACE)
-or a callable; ``evaluate_workload`` quantifies the speedup over the
-optimizer's own choice and the remaining gap to the oracle (the truly
-fastest candidate).
+``PlanSelector`` works with any estimator exposing ``predict_plans`` (a
+fitted DACE, a serving tier); ``evaluate_workload`` quantifies the
+speedup over the optimizer's own choice and the remaining gap to the
+oracle (the truly fastest candidate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.engine.plan import PlanNode
 from repro.engine.session import EngineSession
-from repro.serve.estimator import as_plan_scorers
 from repro.sql.query import Query
-
-PlanScorer = Callable[[PlanNode], float]
 
 
 @dataclass
@@ -56,24 +53,23 @@ class PlanSelector:
     def __init__(
         self,
         session: EngineSession,
-        scorer: Union[PlanScorer, "object"],
+        scorer,
         candidates: int = 6,
     ) -> None:
-        """``scorer`` is either a callable plan -> predicted ms, or any
-        Estimator (an object with ``predict_plan``, e.g. a fitted DACE or
-        an :class:`~repro.serve.service.EstimatorService`).  Estimators
-        that also expose ``predict_plans`` get their candidates scored in
-        one batched call."""
+        """``scorer`` is any object with ``predict_plans`` (plans ->
+        predicted ms, e.g. a fitted DACE or an
+        :class:`~repro.serve.service.EstimatorService`); each query's
+        candidates are scored in one batched call."""
         if candidates < 2:
             raise ValueError("plan selection needs at least 2 candidates")
+        if not hasattr(scorer, "predict_plans"):
+            raise TypeError("scorer must have predict_plans")
         self.session = session
-        self._score, self._score_batch = as_plan_scorers(scorer)
+        self.scorer = scorer
         self.candidates = candidates
 
     def _scores(self, plans: Sequence[PlanNode]) -> np.ndarray:
-        if self._score_batch is not None:
-            return np.asarray(self._score_batch(plans), dtype=np.float64)
-        return np.array([self._score(plan) for plan in plans])
+        return np.asarray(self.scorer.predict_plans(plans), dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     def select(self, query: Query) -> PlanNode:
@@ -126,12 +122,3 @@ class PlanSelector:
             per_query=per_query,
         )
 
-
-def optimizer_cost_scorer(session: EngineSession) -> PlanScorer:
-    """Baseline scorer: the optimizer's own estimated cost (cheapest-cost
-    selection — always picks candidate 0, the native behaviour)."""
-
-    def score(plan: PlanNode) -> float:
-        return plan.est_cost
-
-    return score

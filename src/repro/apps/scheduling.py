@@ -15,7 +15,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.serve.estimator import resolve_predictions
 from repro.workloads.dataset import PlanDataset
 
 
@@ -75,9 +74,8 @@ class WorkloadScheduler:
         self, dataset: PlanDataset, predicted_ms,
         policy_name: str = "SJF (model)",
     ) -> ScheduleResult:
-        """``predicted_ms`` is a per-query latency array, or any Estimator
-        (an object with ``predict``) to run over the dataset here."""
-        predicted = resolve_predictions(predicted_ms, dataset)
+        """``predicted_ms`` is a per-query predicted latency array."""
+        predicted = np.asarray(predicted_ms, dtype=np.float64)
         if predicted.shape != (len(dataset),):
             raise ValueError("one prediction per query required")
         durations = dataset.latencies()
@@ -88,13 +86,10 @@ class WorkloadScheduler:
         self, dataset: PlanDataset, predicted_ms,
         policy_name: str = "SJF (model)",
     ) -> List[ScheduleResult]:
-        """FIFO, model-SJF, oracle-SJF on the same workload.
-
-        ``predicted_ms`` may be an array or an Estimator (resolved once,
-        shared by every policy)."""
-        predicted = resolve_predictions(predicted_ms, dataset)
+        """FIFO, model-SJF, oracle-SJF on the same workload, from one
+        per-query predicted latency array."""
         return [
             self.fifo(dataset),
-            self.sjf_predicted(dataset, predicted, policy_name),
+            self.sjf_predicted(dataset, predicted_ms, policy_name),
             self.sjf_oracle(dataset),
         ]

@@ -435,7 +435,7 @@ def obs_overhead(scale: BenchScale = DEFAULT) -> dict:
 
     samples = sorted(
         (paired(timed_passes(MetricsRegistry()), timed_passes(NULL_REGISTRY),
-                pairs=6, rounds=3) for _ in range(3)),
+                pairs=8, rounds=6) for _ in range(3)),
         key=lambda pairs: pairs.ratio,
     )
     median = samples[len(samples) // 2]

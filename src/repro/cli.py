@@ -160,9 +160,10 @@ _METRIC_EXPORTERS = {
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Replay a workload through the serving runtime and report stats."""
+    from repro.bench.chaos import ChaosEstimator
     from repro.bench.timing import closed_loop, seconds
-    from repro.serve import ChaosEstimator, ConcurrentEstimatorService, \
-        CostFallback, ResilientEstimator
+    from repro.serve import ConcurrentEstimatorService, CostFallback, \
+        ResilientEstimator
 
     if args.shards and args.workers:
         raise SystemExit(
@@ -237,8 +238,9 @@ def _serve_fleet(args: argparse.Namespace, dace, plans, repeats: int) -> int:
     """Replay a (optionally multi-tenant) workload through a FleetGateway."""
     import numpy as np
 
+    from repro.bench.chaos import ChaosEstimator
     from repro.bench.timing import closed_loop
-    from repro.serve import ChaosEstimator, FleetGateway, ModelRegistry
+    from repro.serve import FleetGateway, ModelRegistry
 
     shard_wrapper = None
     if args.chaos is not None:

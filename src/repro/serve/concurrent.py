@@ -8,17 +8,24 @@ efficiency with a *leader/followers* queue in front of an
 
 - the queue's unit is the **request**: the plans of one ``submit``,
   ``predict_plans`` or ``predict_caught`` call.  The caller snapshots
-  (catches) all of its plans first, then enqueues them under one lock
-  acquisition, split into requests of at most ``max_batch`` plans in
-  submission order.  The first caller whose arrival finds no active
-  leader schedules a **drain** task on the shared
-  :class:`ThreadPoolExecutor`;
+  (catches) all of its plans on its own thread first, then enqueues them
+  under one lock acquisition, split into requests of at most
+  ``max_batch`` plans in submission order.  The first caller whose
+  arrival finds no active leader schedules a **drain** task on the
+  shared :class:`ThreadPoolExecutor`;
 - the drain pops whole requests, up to ``max_batch`` plans, prices them
-  through one ``service.predict_plans`` call (one padded
+  through one ``service.predict_caught`` call (one padded
   ``encode_batch``, one model forward), resolves each request through one
   event and one list of values, and loops until the queue is empty — so
   whatever requests pile up while a forward is running are coalesced
   into the next one (dynamic batching).
+
+**The caught-plan contract.**  The wrapped object's class must define
+``predict_caught(Sequence[CaughtPlan]) -> ndarray``: it is the one method
+serving tiers call on each other.  ``EstimatorService``,
+``ResilientEstimator`` and ``repro.bench.chaos.ChaosEstimator`` define it;
+the constructor refuses anything else with ``TypeError``, so a wrapper
+cannot be stacked under the pool and then skipped.
 
 **Determinism.**  Because the underlying service pads every forward to a
 bucketed width (``PAD_BASE``), a plan's predicted bits are independent of
@@ -54,17 +61,6 @@ import numpy as np
 from repro.engine.plan import PlanNode
 from repro.featurize.catcher import CaughtPlan, catch_plan
 from repro.obs import MetricsRegistry
-
-
-def _defined_on_class(obj, name: str) -> bool:
-    """True when ``name`` is a real method of ``obj``'s class.
-
-    ``hasattr`` is the wrong probe for optional fast paths: delegating
-    wrappers (ResilientEstimator, ChaosEstimator) answer True through
-    ``__getattr__`` while the attribute fetched is the *inner* object's
-    bound method — calling it would silently skip the wrapper's tiers.
-    """
-    return any(name in klass.__dict__ for klass in type(obj).__mro__)
 
 
 # Shared by every handle answered at birth (a fleet cache hit); never cleared.
@@ -164,11 +160,11 @@ class PoolPrediction:
 class ConcurrentEstimatorService:
     """Thread-pool front-end batching concurrent traffic onto one service.
 
-    Speaks the Estimator protocol, so it drops in wherever an estimator
-    is expected.  All mutable state (queue, handles, leader flag) lives
-    behind one lock that is never held across a model call; the wrapped
-    :class:`EstimatorService` is itself safe for concurrent callers, so
-    direct calls to it may coexist with the pool.
+    Answers ``predict_plan``/``predict_plans``/``predict_caught``/
+    ``predict`` like the service it wraps.  All mutable state (queue,
+    handles, leader flag) lives behind one lock that is never held across
+    a model call; the wrapped :class:`EstimatorService` is itself safe for
+    concurrent callers, so direct calls to it may coexist with the pool.
 
     The executor only ever runs the drain, one at a time, so requests
     queued during a forward coalesce into the next drain whatever
@@ -185,6 +181,12 @@ class ConcurrentEstimatorService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        # Looked up on the class: an instance's __getattr__ delegation
+        # would hand back the inner tier's method and skip this one.
+        if getattr(type(service), "predict_caught", None) is None:
+            raise TypeError(
+                f"{type(service).__name__} does not define predict_caught"
+            )
         self.service = service
         self.workers = workers
         # Usually an EstimatorService, but any estimator works (e.g. a
@@ -221,12 +223,6 @@ class ConcurrentEstimatorService:
         self.gather_s = 0.0005
         self._last_flush = 1
         self._catch = CatchMemo().catch
-        # MRO probe, not hasattr: a delegating wrapper would pass
-        # hasattr while handing back the inner service's bound method,
-        # silently bypassing its fallback or chaos tier.  Wrappers
-        # that genuinely support the caught path (ResilientEstimator,
-        # ChaosEstimator) define predict_caught on their class.
-        self._can_serve_caught = _defined_on_class(service, "predict_caught")
         self._workers_gauge = self.metrics.gauge(
             "serve.pool.workers", help="threads in the serving pool"
         )
@@ -255,22 +251,12 @@ class ConcurrentEstimatorService:
         off the serialized drain path — so mutating the plan object after
         ``submit`` does not affect the prediction.
         """
-        item = self._catch(plan) if self._can_serve_caught else plan
-        return self._enqueue([item])[0]
+        return self._enqueue([self._catch(plan)])[0]
 
     def submit_caught(self, caught: CaughtPlan) -> PoolPrediction:
         """Enqueue an already-caught plan (front-ends that snapshot
-        early).  Only legal when the wrapped service serves caught plans.
-        """
-        self._require_caught()
+        early)."""
         return self._enqueue([caught])[0]
-
-    def _require_caught(self) -> None:
-        if not self._can_serve_caught:
-            raise TypeError(
-                "wrapped service does not define predict_caught; "
-                "submit the original PlanNode via submit()"
-            )
 
     def _enqueue(self, items: list) -> List[PoolPrediction]:
         """Queue ``items`` as requests of at most ``max_batch`` plans.
@@ -359,11 +345,8 @@ class ConcurrentEstimatorService:
             self._requests.inc(size)
             items = [item for request in batch for item in request._items]
             try:
-                if self._can_serve_caught:
-                    values = self.service.predict_caught(items)
-                else:
-                    values = self.service.predict_plans(items)
-                values = np.asarray(values, dtype=np.float64).tolist()
+                values = np.asarray(self.service.predict_caught(items),
+                                    dtype=np.float64).tolist()
                 if len(values) != size:
                     raise ValueError(
                         f"estimator returned {len(values)} values "
@@ -419,7 +402,7 @@ class ConcurrentEstimatorService:
         return clone
 
     # ------------------------------------------------------------------ #
-    # Estimator protocol
+    # Prediction
     # ------------------------------------------------------------------ #
     def predict_plan(self, plan: PlanNode) -> float:
         """Predicted latency (ms), coalesced with concurrent callers."""
@@ -428,46 +411,17 @@ class ConcurrentEstimatorService:
     def predict_plans(self, plans: Sequence[PlanNode]) -> np.ndarray:
         """Predicted latency (ms) per plan, enqueued as one request
         (``max_batch``-plan slices when larger)."""
-        if self._can_serve_caught:
-            return self._predict([self._catch(plan) for plan in plans])
-        return self._predict(list(plans))
+        return self.predict_caught([self._catch(plan) for plan in plans])
 
     def predict_caught(self, caught: Sequence[CaughtPlan]) -> np.ndarray:
-        """``predict_plans`` for pre-caught plans, enqueued as one
-        request.  Defined on the class (not delegated) so MRO probes see
-        the pool genuinely supports the caught path."""
-        self._require_caught()
-        return self._predict(list(caught))
-
-    def _predict(self, items: list) -> np.ndarray:
-        if not items:
+        """``predict_plans`` for pre-caught plans."""
+        if not caught:
             return np.empty(0)
         values: List[float] = []
-        for request in self._enqueue(items):
+        for request in self._enqueue(list(caught)):
             values += request._wait()
         return np.array(values)
 
     def predict(self, dataset) -> np.ndarray:
         """Predicted latency (ms) per plan of a PlanDataset."""
         return self.predict_plans([sample.plan for sample in dataset])
-
-    def predict_log(self, dataset) -> np.ndarray:
-        """Predicted root log-latency per plan (direct service path)."""
-        return self.service.predict_log(dataset)
-
-    def predict_subplans(self, plan: PlanNode) -> np.ndarray:
-        """Per-sub-plan latencies (direct service path)."""
-        return self.service.predict_subplans(plan)
-
-    # ------------------------------------------------------------------ #
-    # Service passthroughs
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_stats(self):
-        return self.service.cache_stats
-
-    def invalidate(self) -> None:
-        self.service.invalidate()
-
-    def reset_stats(self) -> None:
-        self.service.reset_stats()

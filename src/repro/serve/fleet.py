@@ -442,8 +442,8 @@ class FleetGateway:
 
         fleet.requests == fleet.cache.hits + fleet.routed + fleet.shed
 
-    Speaks the Estimator protocol with an optional ``tenant=`` keyword
-    on every entry point (default: the base model).
+    Every ``predict*``/``submit*`` entry point takes an optional
+    ``tenant=`` keyword (default: the base model).
     """
 
     def __init__(

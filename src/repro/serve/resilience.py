@@ -4,10 +4,11 @@ DACE's job is correcting the optimizer's estimated cost, which hands the
 serving path a natural graceful-degradation target: when the learned path
 fails, the raw DBMS cost estimate is still a usable answer (FasCo shows
 the plan-derived signal alone is a workable cheap estimator).
-:class:`ResilientEstimator` wraps any :class:`~repro.serve.estimator.
-Estimator` behind that insight with one boundary per request:
+:class:`ResilientEstimator` wraps any object whose class defines
+``predict_caught`` behind that insight with one boundary per request:
 
-- the wrapped estimator is called **once**;
+- the wrapped estimator's ``predict_caught`` is called **once** (plans
+  handed in uncaught are caught inside the boundary first);
 - if it raises or answers with the wrong shape, the whole batch is
   answered by :class:`CostFallback` (the plan's own optimizer-estimated
   cost, robust-scaled back to log-latency space);
@@ -27,6 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.plan import PlanNode
+from repro.featurize.catcher import catch_plan
 from repro.obs import MetricsRegistry
 
 __all__ = ["CostFallback", "ResilientEstimator"]
@@ -83,11 +85,13 @@ class CostFallback:
 
 
 class ResilientEstimator:
-    """Estimator-protocol wrapper that degrades instead of raising.
+    """A serving tier that degrades instead of raising.
 
-    ``fallback`` defaults to an unscaled :class:`CostFallback`.  The
-    wrapper never lets an inner exception escape — the worst case is an
-    optimizer-cost answer flagged in ``last_degraded``.
+    ``fallback`` defaults to an unscaled :class:`CostFallback`; a custom
+    one needs ``predict_plans`` and ``predict_caught``.  The wrapper
+    never lets an inner exception escape — the worst case is an
+    optimizer-cost answer flagged in ``last_degraded``.  The wrapped
+    tier is ``.estimator``; nothing else is passed through to it.
     """
 
     def __init__(
@@ -125,15 +129,6 @@ class ResilientEstimator:
         """Lifetime fraction of predictions served by the fallback tier."""
         total = self._predictions.value
         return self._degraded.value / total if total else 0.0
-
-    def __getattr__(self, name):
-        # Pass anything outside the resilience surface (cache_stats,
-        # invalidate, ...) through to the wrapped estimator.  Guard the
-        # delegate itself: during unpickling ``estimator`` is absent from
-        # __dict__ and plain delegation would recurse forever.
-        if name == "estimator":
-            raise AttributeError(name)
-        return getattr(self.estimator, name)
 
     # ------------------------------------------------------------------ #
     def _answer(
@@ -173,40 +168,28 @@ class ResilientEstimator:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(latencies_ms, degraded_flags)`` for a batch of plans.
 
+        The plans are caught inside the boundary, so a plan that cannot
+        be caught degrades the batch like any other learned-path failure.
         Never raises on inner-estimator failure: a raise or a wrongly
         shaped answer degrades the whole batch, a non-finite entry
         degrades its own plan only.
         """
         return self._answer(
             list(plans),
-            lambda items: self.estimator.predict_plans(items),
+            lambda items: self.estimator.predict_caught(
+                [catch_plan(plan) for plan in items]),
             self.fallback.predict_plans,
         )
 
     def predict_caught(self, caught) -> np.ndarray:
-        """``predict_plans`` for already-caught plans, same boundary.
-
-        Defined on the class (not via ``__getattr__`` delegation) so
-        front-ends probing for the caught fast path — the concurrent
-        pool checks the MRO — route it through the fallback boundary
-        instead of reaching the wrapped estimator directly.  An inner
-        estimator without ``predict_caught`` surfaces as an
-        ``AttributeError`` on the learned path and degrades like any
-        other failure.
-        """
-        # A fallback without the caught path answers for each root PlanNode.
-        fallback = getattr(self.fallback, "predict_caught", None) or (
-            lambda items: self.fallback.predict_plans(
-                [plan.nodes[0] for plan in items]))
+        """``predict_plans`` for already-caught plans, same boundary."""
         values, _ = self._answer(
             list(caught),
             lambda items: self.estimator.predict_caught(items),
-            fallback,
+            self.fallback.predict_caught,
         )
         return values
 
-    # ------------------------------------------------------------------ #
-    # Estimator protocol
     # ------------------------------------------------------------------ #
     def predict_plan(self, plan: PlanNode) -> float:
         return float(self.predict_plans([plan])[0])

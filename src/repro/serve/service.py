@@ -1,6 +1,7 @@
 """EstimatorService: the batched, cached, graph-free prediction path.
 
-Wraps any model + encoder pair behind the :class:`Estimator` protocol:
+Wraps any model + encoder pair behind ``predict_caught``, the method the
+serving tiers call on each other, and the plan-level ``predict*`` calls:
 
 - **no-graph forward** — cache-miss buckets run through the model's
   graph-free ``infer``/``embed_infer``; for a stock DACE that is the one
@@ -344,7 +345,7 @@ class EstimatorService:
         )
 
     # ------------------------------------------------------------------ #
-    # Estimator protocol (plans)
+    # Prediction (plans)
     # ------------------------------------------------------------------ #
     def predict_plan(self, plan: PlanNode) -> float:
         """Predicted latency (ms) for a single plan."""
@@ -371,7 +372,7 @@ class EstimatorService:
         return np.exp(logs[0])
 
     # ------------------------------------------------------------------ #
-    # Estimator protocol (datasets)
+    # Prediction (datasets)
     # ------------------------------------------------------------------ #
     def predict_log(self, dataset) -> np.ndarray:
         """Predicted root log-latency per plan of a PlanDataset."""

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.apps import PlanSelector, WorkloadScheduler
-from repro.apps.plan_selection import optimizer_cost_scorer
 from repro.catalog import load_database
 from repro.core import DACE, TrainingConfig
 from repro.engine import EngineSession, M1
+from repro.serve import CostFallback
 from repro.sql import QueryGenerator, WorkloadSpec
 
 
@@ -70,7 +70,7 @@ class TestCandidatePlans:
 class TestPlanSelector:
     def test_requires_two_candidates(self, imdb_session):
         with pytest.raises(ValueError):
-            PlanSelector(imdb_session, lambda p: 0.0, candidates=1)
+            PlanSelector(imdb_session, CostFallback(), candidates=1)
 
     def test_bad_scorer_rejected(self, imdb_session):
         with pytest.raises(TypeError):
@@ -78,9 +78,8 @@ class TestPlanSelector:
 
     def test_cost_scorer_keeps_native_choice(self, imdb_session,
                                              selection_queries):
-        selector = PlanSelector(
-            imdb_session, optimizer_cost_scorer(imdb_session), candidates=5
-        )
+        # The optimizer's own cost as the score: the native choice.
+        selector = PlanSelector(imdb_session, CostFallback(), candidates=5)
         result = selector.evaluate_workload(selection_queries[:10])
         assert result.changed_plans == 0
         assert result.speedup == pytest.approx(1.0)

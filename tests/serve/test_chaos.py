@@ -7,37 +7,31 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.bench.chaos import ChaosConfig, ChaosEstimator, InjectedFault
 from repro.engine.plan import PlanNode
-from repro.serve import (
-    ChaosConfig,
-    ChaosEstimator,
-    InjectedFault,
-)
+from repro.featurize import catch_plan
+from repro.serve import ResilientEstimator
 
 CHAOS_SETTINGS = settings(max_examples=25, deadline=None)
 
 
 class EchoEstimator:
-    """Returns est_cost verbatim — any corruption is chaos's doing."""
-
-    def predict_plan(self, plan):
-        return float(plan.est_cost)
-
-    def predict_plans(self, plans):
-        return np.array([plan.est_cost for plan in plans], dtype=np.float64)
+    """Returns the root est_cost verbatim — any corruption is chaos's
+    doing."""
 
     def predict_caught(self, caught):
         return np.array(
             [plan.est_costs[0] for plan in caught], dtype=np.float64
         )
 
-    def predict(self, dataset):
-        return self.predict_plans([sample.plan for sample in dataset])
-
 
 def _plans(n=8):
     return [PlanNode("Seq Scan", est_rows=1.0, est_cost=float(i + 1))
             for i in range(n)]
+
+
+def _caught(n=8):
+    return [catch_plan(plan) for plan in _plans(n)]
 
 
 class NoSleep:
@@ -87,14 +81,20 @@ class TestZeroRatePassthrough:
     @CHAOS_SETTINGS
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_predict_plans_bit_identical(self, seed):
+        # Plans reach the injector caught, through the fault boundary.
         plans = _plans()
-        clean = EchoEstimator().predict_plans(plans)
+        clean = EchoEstimator().predict_caught(_caught())
         chaos = ChaosEstimator.with_fault_rate(
             EchoEstimator(), 0.0, seed=seed
         )
+        resilient = ResilientEstimator(chaos)
         for _ in range(5):
-            np.testing.assert_array_equal(chaos.predict_plans(plans), clean)
+            np.testing.assert_array_equal(resilient.predict_plans(plans),
+                                          clean)
+            np.testing.assert_array_equal(chaos.predict_caught(_caught()),
+                                          clean)
         assert sum(chaos.injected.values()) == 0
+        assert not resilient.last_degraded.any()
 
     @CHAOS_SETTINGS
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -103,8 +103,8 @@ class TestZeroRatePassthrough:
         chaos = ChaosEstimator(
             EchoEstimator(), ChaosConfig(seed=seed), sleep=sleeper
         )
-        for plan in _plans():
-            assert chaos.predict_plan(plan) == plan.est_cost
+        for plan in _caught():
+            assert chaos.predict_caught([plan])[0] == plan.est_costs[0]
         assert sleeper.total == 0.0
 
 
@@ -119,11 +119,11 @@ class TestFullRateAlwaysFaults:
         chaos = ChaosEstimator.with_fault_rate(
             EchoEstimator(), 1.0, seed=seed, sleep=sleeper
         )
-        plans = _plans()
+        caught = _caught()
         calls = 20
         for _ in range(calls):
             try:
-                values = chaos.predict_plans(plans)
+                values = chaos.predict_caught(caught)
             except InjectedFault:
                 continue
             # Not an error: must be a NaN corruption or a latency spike.
@@ -135,16 +135,13 @@ class TestFullRateAlwaysFaults:
         chaos = ChaosEstimator(EchoEstimator(), ChaosConfig(error_rate=1.0))
         for _ in range(10):
             with pytest.raises(InjectedFault):
-                chaos.predict_plan(_plans(1)[0])
+                chaos.predict_caught(_caught(1))
         assert chaos.injected == {"error": 10, "nan": 0, "latency": 0}
 
     def test_predict_caught_is_injected_too(self):
-        """The caught fast path (used by the concurrent pool) must see
-        the same faults as predict_plans — it is a genuine method, not
-        __getattr__ delegation that would skip injection."""
-        from repro.featurize import catch_plan
-
-        caught = [catch_plan(plan) for plan in _plans()]
+        """``predict_caught`` — the one method tiers call on each other —
+        carries every fault class."""
+        caught = _caught()
         clean = EchoEstimator().predict_caught(caught)
         passthrough = ChaosEstimator.with_fault_rate(EchoEstimator(), 0.0)
         np.testing.assert_array_equal(
@@ -162,9 +159,9 @@ class TestFullRateAlwaysFaults:
 
     def test_nan_only_config_always_corrupts(self):
         chaos = ChaosEstimator(EchoEstimator(), ChaosConfig(nan_rate=1.0))
-        plans = _plans()
+        caught = _caught()
         for _ in range(10):
-            values = chaos.predict_plans(plans)
+            values = chaos.predict_caught(caught)
             assert np.isnan(values).sum() == 1     # exactly one poisoned slot
         assert chaos.injected["nan"] == 10
 
@@ -175,9 +172,10 @@ class TestFullRateAlwaysFaults:
             ChaosConfig(latency_rate=1.0, latency_s=0.25),
             sleep=sleeper,
         )
-        clean = EchoEstimator().predict_plans(_plans())
+        clean = EchoEstimator().predict_caught(_caught())
         for _ in range(4):
-            np.testing.assert_array_equal(chaos.predict_plans(_plans()), clean)
+            np.testing.assert_array_equal(chaos.predict_caught(_caught()),
+                                          clean)
         assert sleeper.total == pytest.approx(1.0)
 
 
@@ -189,11 +187,11 @@ class TestDeterminism:
         chaos = ChaosEstimator.with_fault_rate(
             EchoEstimator(), rate, seed=seed, sleep=lambda _s: None
         )
-        plans = _plans()
+        caught = _caught()
         schedule = []
         for _ in range(calls):
             try:
-                values = chaos.predict_plans(plans)
+                values = chaos.predict_caught(caught)
             except InjectedFault:
                 schedule.append("error")
             else:
@@ -224,7 +222,7 @@ class TestDeterminism:
         # A rate-0 wrapper consumes one draw per call, exactly like a
         # faulting one, so schedules depend only on the call sequence.
         chaos = ChaosEstimator.with_fault_rate(EchoEstimator(), 0.0, seed=3)
-        for plan in _plans(4):
-            chaos.predict_plan(plan)
+        for plan in _caught(4):
+            chaos.predict_caught([plan])
         reference = np.random.default_rng(3).random(4)
         assert float(chaos._rng.random()) != pytest.approx(reference[0])

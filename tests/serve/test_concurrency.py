@@ -27,11 +27,10 @@ import numpy as np
 import pytest
 
 from repro.core import DACEModel
+from repro.bench.chaos import ChaosConfig, ChaosEstimator
 from repro.featurize import PlanEncoder, catch_plan
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    ChaosConfig,
-    ChaosEstimator,
     ConcurrentEstimatorService,
     CostFallback,
     EstimatorService,
@@ -259,7 +258,7 @@ class TestPoolHammer:
             batch_size = 8
             metrics = None
 
-            def predict_plans(self, batch):
+            def predict_caught(self, batch):
                 raise ValueError("boom")
 
         with ConcurrentEstimatorService(
@@ -331,7 +330,7 @@ class TestRequestQueue:
             batch_size = 8
             metrics = None
 
-            def predict_plans(self, batch):
+            def predict_caught(self, batch):
                 return np.ones(len(batch) - 1)
 
         with ConcurrentEstimatorService(ShortService(), workers=1) as pool:
@@ -375,9 +374,9 @@ class TestPoolComposition:
         service = EstimatorService(model, encoder, batch_size=16,
                                    cache_size=0)
         # error_rate=1.0: every learned-path call raises, so a correct
-        # composition answers from the cost fallback; the old hasattr
-        # probe reached service.predict_caught directly and answered
-        # healthily with zero injected faults.
+        # composition answers from the cost fallback; a pool reaching
+        # service.predict_caught directly would answer healthily with
+        # zero injected faults.
         chaos = ChaosEstimator(service, ChaosConfig(error_rate=1.0, seed=3))
         resilient = ResilientEstimator(chaos, metrics=MetricsRegistry())
         sample = plans[:6]
@@ -392,8 +391,8 @@ class TestPoolComposition:
         model, encoder, plans = setup
         service = EstimatorService(model, encoder, batch_size=16)
 
-        class Delegating:
-            """Only delegates; defines no predict_caught of its own."""
+        class PlansOnly:
+            """Speaks plans only; defines no predict_caught."""
 
             def __init__(self, inner):
                 self._inner = inner
@@ -401,21 +400,14 @@ class TestPoolComposition:
             def predict_plans(self, batch):
                 return self._inner.predict_plans(batch)
 
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-        with ConcurrentEstimatorService(
-            Delegating(service), workers=1
-        ) as pool:
-            assert not pool._can_serve_caught
-            assert pool.predict_plan(plans[0]) > 0
-        with ConcurrentEstimatorService(service, workers=1) as pool:
-            assert pool._can_serve_caught  # genuine method: fast path on
-        with ConcurrentEstimatorService(
-            ResilientEstimator(service, metrics=MetricsRegistry()),
-            workers=1,
-        ) as pool:
-            assert pool._can_serve_caught  # resilient defines it natively
+        with pytest.raises(TypeError, match="PlansOnly"):
+            ConcurrentEstimatorService(PlansOnly(service), workers=1)
+        expected = service.predict_plans(plans[:3])
+        for tier in (service,
+                     ResilientEstimator(service, metrics=MetricsRegistry())):
+            with ConcurrentEstimatorService(tier, workers=1) as pool:
+                np.testing.assert_array_equal(
+                    pool.predict_plans(plans[:3]), expected)
 
     def test_deepcopy_builds_a_fresh_pool(self, setup):
         model, encoder, plans = setup

@@ -35,12 +35,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.bench.chaos import ChaosConfig, ChaosEstimator
 from repro.core import DACE, DACEModel
 from repro.featurize import PlanEncoder, catch_plan
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    ChaosConfig,
-    ChaosEstimator,
     ConsistentHashRing,
     CostFallback,
     EstimatorService,

@@ -13,10 +13,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.bench.chaos import ChaosEstimator
 from repro.catalog import load_database
 from repro.core import DACE, TrainingConfig
 from repro.obs import MetricsRegistry
-from repro.serve import ChaosEstimator, CostFallback, ResilientEstimator
+from repro.serve import CostFallback, ResilientEstimator
 from repro.sql.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.dataset import collect_workload
 

@@ -10,26 +10,25 @@ import pytest
 from repro.core import DACEModel
 from repro.engine.plan import PlanNode
 from repro.featurize import PlanEncoder, catch_plan
+from repro.bench.chaos import ChaosEstimator
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    ChaosEstimator,
     ConcurrentEstimatorService,
     CostFallback,
-    Estimator,
     EstimatorService,
     ResilientEstimator,
 )
 
 
 class StubEstimator:
-    """Deterministic inner estimator: latency = est_cost + 1."""
+    """Deterministic inner estimator: latency = root est_cost + 1."""
 
     def __init__(self) -> None:
         self.calls = 0
 
-    def predict_plans(self, plans):
+    def predict_caught(self, caught):
         self.calls += 1
-        return np.array([plan.est_cost + 1.0 for plan in plans])
+        return np.array([plan.est_costs[0] + 1.0 for plan in caught])
 
 
 class FailingEstimator:
@@ -40,11 +39,11 @@ class FailingEstimator:
         self.value = value
         self.calls = 0
 
-    def predict_plans(self, plans):
+    def predict_caught(self, caught):
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError("backend down")
-        return np.full(len(plans), self.value)
+        return np.full(len(caught), self.value)
 
 
 def _plan(cost: float = 5.0) -> PlanNode:
@@ -123,14 +122,18 @@ class TestCostFallback:
 # ---------------------------------------------------------------------- #
 class TestResilientEstimator:
     def test_satisfies_protocol(self):
-        assert isinstance(_resilient(StubEstimator()), Estimator)
+        # The caught-plan contract: the pool accepts the wrapper.
+        with ConcurrentEstimatorService(_resilient(StubEstimator()),
+                                        workers=1) as pool:
+            assert pool.predict_plans([_plan(4.0)]).tolist() == [5.0]
 
     def test_healthy_path_is_transparent(self):
         stub = StubEstimator()
         resilient = _resilient(stub)
         plans = [_plan(c) for c in (1.0, 2.0, 3.0)]
         values = resilient.predict_plans(plans)
-        np.testing.assert_array_equal(values, stub.predict_plans(plans))
+        np.testing.assert_array_equal(
+            values, stub.predict_caught([catch_plan(p) for p in plans]))
         assert not resilient.last_degraded.any()
         assert resilient.degraded_fraction == 0.0
 
@@ -160,9 +163,9 @@ class TestResilientEstimator:
         class NaNFirst:
             calls = 0
 
-            def predict_plans(self, plans):
+            def predict_caught(self, caught):
                 self.calls += 1
-                values = np.full(len(plans), 2.5)
+                values = np.full(len(caught), 2.5)
                 values[0] = np.nan
                 return values
 
@@ -181,8 +184,8 @@ class TestResilientEstimator:
 
     def test_bad_shape_is_a_failure(self):
         class WrongShape:
-            def predict_plans(self, plans):
-                return np.ones(len(plans) + 1)
+            def predict_caught(self, caught):
+                return np.ones(len(caught) + 1)
 
         resilient = _resilient(WrongShape())
         values = resilient.predict_plans([_plan()])
@@ -206,19 +209,20 @@ class TestResilientEstimator:
         assert values.shape == (0,)
         assert resilient.last_degraded.shape == (0,)
 
-    def test_delegates_unknown_attributes(self):
+    def test_uncatchable_plan_degrades_instead_of_raising(self):
+        # Plans are caught inside the boundary: a plan the catcher
+        # rejects is answered by the fallback, flagged, never raised.
+        class Uncatchable:
+            est_cost = 6.0
+
         stub = StubEstimator()
-        stub.custom_marker = "here"
-        assert _resilient(stub).custom_marker == "here"
+        resilient = _resilient(stub)
+        values, flags = resilient.predict_plans_detailed([Uncatchable()])
+        assert flags.all() and stub.calls == 0
+        assert values[0] == CostFallback().predict_plans([Uncatchable()])[0]
 
     def test_predict_caught_healthy_path(self):
-        class CaughtStub(StubEstimator):
-            def predict_caught(self, caught):
-                return np.array(
-                    [plan.est_costs[0] + 1.0 for plan in caught]
-                )
-
-        resilient = _resilient(CaughtStub())
+        resilient = _resilient(StubEstimator())
         caught = [catch_plan(_plan(c)) for c in (1.0, 4.0)]
         values = resilient.predict_caught(caught)
         np.testing.assert_array_equal(values, [2.0, 5.0])
@@ -239,30 +243,19 @@ class TestResilientEstimator:
         assert resilient.metrics.counter("resilience.degraded").value == 1
 
     def test_predict_caught_missing_inner_method_degrades(self):
-        # StubEstimator has no predict_caught: the learned-path attempt
-        # fails with AttributeError and the fallback answers — the tier
-        # of last resort also covers estimators that predate the caught
-        # path.
-        resilient = _resilient(StubEstimator())
+        # An inner object without predict_caught: the learned-path
+        # attempt fails with AttributeError and the fallback answers.
+        class PlansOnly:
+            def predict_plans(self, plans):
+                return np.ones(len(plans))
+
+        resilient = _resilient(PlansOnly())
         plan = _plan(9.0)
         values = resilient.predict_caught([catch_plan(plan)])
         np.testing.assert_array_equal(
             values, CostFallback().predict_plans([plan])
         )
         assert resilient.last_degraded.all()
-
-    def test_predict_caught_custom_fallback_without_caught_path(self):
-        class PlanOnlyFallback:
-            def predict_plans(self, plans):
-                return np.array([plan.est_cost * 2.0 for plan in plans])
-
-        class FailingCaught(StubEstimator):
-            def predict_caught(self, caught):
-                raise RuntimeError("backend down")
-
-        resilient = _resilient(FailingCaught(), fallback=PlanOnlyFallback())
-        values = resilient.predict_caught([catch_plan(_plan(3.0))])
-        np.testing.assert_array_equal(values, [6.0])
 
 
 # ---------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ import pytest
 from repro.core import DACEModel
 from repro.featurize import PlanEncoder, catch_plan
 from repro.nn import no_grad
-from repro.serve import Estimator, EstimatorService
+from repro.serve import ConcurrentEstimatorService, EstimatorService
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,14 @@ def _reference_logs(model, encoder, plan) -> np.ndarray:
 
 class TestCorrectness:
     def test_satisfies_protocol(self, setup):
-        model, encoder, _, _ = setup
-        assert isinstance(EstimatorService(model, encoder), Estimator)
+        # The caught-plan contract: the pool accepts the service, and
+        # predict_plans is predict_caught over the caught plans.
+        model, encoder, _, plans = setup
+        service = EstimatorService(model, encoder)
+        ConcurrentEstimatorService(service, workers=1).close()
+        np.testing.assert_array_equal(
+            service.predict_plans(plans[:4]),
+            service.predict_caught([catch_plan(p) for p in plans[:4]]))
 
     def test_predict_plan_matches_reference(self, setup):
         model, encoder, _, plans = setup

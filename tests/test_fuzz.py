@@ -169,12 +169,9 @@ class TestEndToEndFuzz:
 # ---------------------------------------------------------------------- #
 # Resilience under chaos: random plan trees, random fault schedules
 # ---------------------------------------------------------------------- #
+from repro.bench.chaos import ChaosEstimator  # noqa: E402
 from repro.engine.plan import NODE_TYPES, PlanNode  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ChaosEstimator,
-    CostFallback,
-    ResilientEstimator,
-)
+from repro.serve import CostFallback, ResilientEstimator  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 
 _LEAF_TYPES = [t for t in NODE_TYPES if "Scan" in t] + ["Result"]
@@ -213,10 +210,15 @@ class _FuzzClock:
 
 
 class _RootCostStub:
-    """Answers est_cost + 1 per plan; the chaos wrapper supplies faults."""
+    """Answers root est_cost + 1 per plan; the chaos wrapper supplies
+    faults."""
 
-    def predict_plans(self, plans):
-        return np.array([p.est_cost + 1.0 for p in plans])
+    def predict_caught(self, caught):
+        return np.array([p.est_costs[0] + 1.0 for p in caught])
+
+
+def _root_cost_plus_one(plans):
+    return np.array([p.est_cost + 1.0 for p in plans])
 
 
 def _chaos_stack(fault_rate, seed, clock):
@@ -251,10 +253,9 @@ class TestResilienceFuzz:
             assert np.all(np.isfinite(values))
             assert np.all(values > 0)
             assert degraded.shape == (1,)
-            expected = (fallback if degraded[0] else _RootCostStub())
-            np.testing.assert_array_equal(
-                values, expected.predict_plans([plan])
-            )
+            expected = (fallback.predict_plans if degraded[0]
+                        else _root_cost_plus_one)
+            np.testing.assert_array_equal(values, expected([plan]))
         metrics = resilient.metrics
         assert (metrics.counter("resilience.predictions").value
                 == len(plans))
@@ -288,7 +289,7 @@ class TestResilienceFuzz:
         clock = _FuzzClock()
         resilient = _chaos_stack(0.0, 0, clock)
         got = resilient.predict_plans(plans)
-        expected = _RootCostStub().predict_plans(plans)
+        expected = _root_cost_plus_one(plans)
         np.testing.assert_array_equal(got, expected)
         assert not resilient.last_degraded.any()
         assert clock.now == 0.0                   # never slept

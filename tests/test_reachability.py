@@ -233,8 +233,6 @@ def test_an_import_counts_as_a_use_only_where_it_is_read(tmp_path):
     assert list(unread_imports(source)) == ["1: unread"]
 
 
-# Callers satisfy a typing.Protocol structurally and never name it.
-STRUCTURAL = {"Estimator"}
 # The resilience tier's per-prediction fallback flags: its answer to
 # whoever calls it, read by no module of its own stack.
 CALLER_API = {"ResilientEstimator.last_degraded"}
@@ -268,7 +266,6 @@ def test_every_public_name_is_used():
     used |= {get_cell(name).__name__ for name in cell_names()}
     unused = sorted(
         qualified for qualified, name in public_names().items()
-        if name not in used and name not in STRUCTURAL
-        and qualified not in CALLER_API
+        if name not in used and qualified not in CALLER_API
     )
     assert not unused, f"public names no reachable module uses: {unused}"
