@@ -3,12 +3,14 @@
 The paper's cold-start experiment (Fig 9): a fresh within-database model
 (MSCN) has almost no training data on a new database.  Feeding it the
 64-dim plan context ``w_E`` from a frozen, pre-trained DACE (eq. 9) makes
-it competitive with only a handful of training queries.
+it competitive with only a handful of training queries.  The MSCN is built
+with a ``context_dim`` of DACE's embedding width, and ``DACEIntegration``
+supplies the embeddings at fit and predict time.
 
 Run:  python examples/pretrained_encoder_cold_start.py
 """
 
-from repro.baselines import DACEMSCNModel, MSCNModel, PostgresCostBaseline
+from repro.baselines import DACEIntegration, MSCNModel, PostgresCostBaseline
 from repro.catalog import load_database
 from repro.core import DACE, TrainingConfig
 from repro.metrics import format_table, qerror_summary
@@ -41,7 +43,11 @@ def main() -> None:
     for count in (50, 200, 800):
         subset = w3.train.subset(count, seed=0)
         plain = MSCNModel(imdb, epochs=25, seed=0).fit(subset)
-        hybrid = DACEMSCNModel(imdb, dace, epochs=25, seed=0).fit(subset)
+        hybrid = DACEIntegration(
+            MSCNModel(imdb, context_dim=dace.embedding_dim, epochs=25,
+                      seed=0),
+            dace,
+        ).fit(subset)
         plain_summary = qerror_summary(
             plain.predict_ms(test), test.latencies()
         )

@@ -22,9 +22,13 @@ Non-learned:
 
 Knowledge integration (paper eq. 9):
 
-- :class:`~repro.baselines.hybrid.DACEMSCNModel`,
-  :class:`~repro.baselines.hybrid.DACEQueryFormerModel` — WDMs consuming a
-  frozen pre-trained DACE's plan embeddings.
+- :class:`~repro.baselines.hybrid.DACEIntegration` — any WDM built with a
+  ``context_dim`` (DACE-MSCN, DACE-QueryFormer) consuming a frozen
+  pre-trained DACE's plan embeddings.
+
+Every learned model is a :class:`~repro.baselines.base.LearnedBaseline`:
+one shared training loop and one shared prediction loop, with the model
+supplying only its network, its batches, its loss and its readout.
 """
 
 from repro.baselines.base import CostEstimatorBase
@@ -34,7 +38,7 @@ from repro.baselines.zeroshot import ZeroShotModel
 from repro.baselines.qppnet import QPPNetModel
 from repro.baselines.tpool import TPoolModel
 from repro.baselines.queryformer import QueryFormerModel
-from repro.baselines.hybrid import DACEMSCNModel, DACEQueryFormerModel
+from repro.baselines.hybrid import DACEIntegration
 
 __all__ = [
     "CostEstimatorBase",
@@ -44,6 +48,5 @@ __all__ = [
     "QPPNetModel",
     "TPoolModel",
     "QueryFormerModel",
-    "DACEMSCNModel",
-    "DACEQueryFormerModel",
+    "DACEIntegration",
 ]

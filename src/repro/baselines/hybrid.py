@@ -1,98 +1,42 @@
 """Knowledge integration: DACE as a pre-trained encoder for WDMs (eq. 9).
 
-``DACE-MSCN`` and ``DACE-QueryFormer`` wrap the corresponding WDM and a
-*frozen*, pre-trained DACE.  At train and inference time the DACE embedding
-``w_E`` (the 64-dim MLP hidden state of the plan's root) is computed for
-every plan and concatenated into the WDM's final layer input.  The WDM
-trains normally; DACE's weights never change.
+:class:`DACEIntegration` wraps any WDM built with a ``context_dim`` (MSCN
+and QueryFormer in the paper) and a *frozen*, pre-trained DACE.  At train
+and inference time the DACE embedding ``w_E`` (the 64-dim MLP hidden state
+of the plan's root) is computed for every plan and concatenated into the
+WDM's final layer input.  The WDM trains normally; DACE's weights never
+change.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import CostEstimatorBase
-from repro.baselines.mscn import MSCNModel
-from repro.baselines.queryformer import QueryFormerModel
-from repro.catalog.datagen import Database
+from repro.baselines.base import CostEstimatorBase, LearnedBaseline
 from repro.core.estimator import DACE
 from repro.workloads.dataset import PlanDataset
 
 
-class DACEMSCNModel(CostEstimatorBase):
-    """MSCN + frozen DACE plan embeddings."""
+class DACEIntegration(CostEstimatorBase):
+    """A WDM + frozen DACE plan embeddings, named ``"DACE-" + wdm.name``."""
 
-    name = "DACE-MSCN"
-
-    def __init__(
-        self,
-        database: Database,
-        dace: DACE,
-        hidden: int = 128,
-        epochs: int = 40,
-        batch_size: int = 128,
-        lr: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, wdm: LearnedBaseline, dace: DACE) -> None:
+        if wdm.context_dim != dace.embedding_dim:
+            raise ValueError(
+                f"{wdm.name} takes a {wdm.context_dim}-dim context; DACE "
+                f"embeds plans in {dace.embedding_dim} dims"
+            )
+        self.wdm = wdm
         self.dace = dace
-        self.mscn = MSCNModel(
-            database,
-            hidden=hidden,
-            context_dim=dace.embedding_dim,
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
-            seed=seed,
-        )
+        self.name = "DACE-" + wdm.name
 
-    def fit(self, train: PlanDataset) -> "DACEMSCNModel":
-        context = self.dace.embed_dataset(train)
-        self.mscn.fit(train, context=context)
+    def fit(self, train: PlanDataset) -> "DACEIntegration":
+        self.wdm.fit(train, context=self.dace.embed_dataset(train))
         return self
 
     def predict_ms(self, test: PlanDataset) -> np.ndarray:
-        context = self.dace.embed_dataset(test)
-        return self.mscn.predict_ms(test, context=context)
+        return self.wdm.predict_ms(test, context=self.dace.embed_dataset(test))
 
     def num_parameters(self) -> int:
         # The WDM's own parameters plus the frozen encoder it must ship with.
-        return self.mscn.num_parameters() + self.dace.num_parameters()
-
-
-class DACEQueryFormerModel(CostEstimatorBase):
-    """QueryFormer + frozen DACE plan embeddings."""
-
-    name = "DACE-QueryFormer"
-
-    def __init__(
-        self,
-        dace: DACE,
-        d_model: int = 64,
-        n_layers: int = 8,
-        epochs: int = 30,
-        batch_size: int = 64,
-        lr: float = 5e-4,
-        seed: int = 0,
-    ) -> None:
-        self.dace = dace
-        self.queryformer = QueryFormerModel(
-            d_model=d_model,
-            n_layers=n_layers,
-            context_dim=dace.embedding_dim,
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
-            seed=seed,
-        )
-
-    def fit(self, train: PlanDataset) -> "DACEQueryFormerModel":
-        context = self.dace.embed_dataset(train)
-        self.queryformer.fit(train, context=context)
-        return self
-
-    def predict_ms(self, test: PlanDataset) -> np.ndarray:
-        context = self.dace.embed_dataset(test)
-        return self.queryformer.predict_ms(test, context=context)
-
-    def num_parameters(self) -> int:
-        return self.queryformer.num_parameters() + self.dace.num_parameters()
+        return self.wdm.num_parameters() + self.dace.num_parameters()

@@ -17,13 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CostEstimatorBase, log_labels
+from repro.baselines.base import LearnedBaseline, log_labels
 from repro.catalog.datagen import NULL_SENTINEL, Database
-from repro.nn import Adam, Module, Tensor, no_grad
+from repro.nn import Module, Tensor
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.losses import log_qerror_loss
 from repro.sql.query import COMPARISON_OPS, Query
 from repro.workloads.dataset import PlanDataset
+
+HIDDEN = 128
 
 
 class MSCNFeaturizer:
@@ -172,79 +174,54 @@ class _MSCNNet(Module):
         return out.reshape(out.shape[0])
 
 
-class MSCNModel(CostEstimatorBase):
+class MSCNModel(LearnedBaseline):
     """MSCN with the fit/predict interface (and optional DACE context)."""
 
     name = "MSCN"
+    batch_size = 128
 
     def __init__(
         self,
         database: Database,
-        hidden: int = 128,
         context_dim: int = 0,
         epochs: int = 40,
-        batch_size: int = 128,
-        lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
+        super().__init__(epochs, seed)
         self.featurizer = MSCNFeaturizer(database)
         self.context_dim = context_dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
         self.net = _MSCNNet(
-            self.featurizer, hidden, context_dim, np.random.default_rng(seed)
+            self.featurizer, HIDDEN, context_dim, np.random.default_rng(seed)
         )
 
     # ------------------------------------------------------------------ #
-    def _encode(self, dataset: PlanDataset, rows: np.ndarray):
+    def _inputs(self, dataset: PlanDataset, fit: bool) -> list:
+        # Statements, not plans; training labels come in one pass over
+        # the whole set.
+        labels = log_labels(dataset) if fit else [None] * len(dataset)
+        return [(sample.query, label)
+                for sample, label in zip(dataset, labels)]
+
+    def _epoch(self, inputs: list, rng: np.random.Generator):
+        order = rng.permutation(len(inputs))
+        return [order[start:start + self.batch_size]
+                for start in range(0, len(order), self.batch_size)]
+
+    def _batch(self, inputs: list, rows, with_labels: bool):
         tables, joins, preds = [], [], []
         for index in rows:
-            t, j, p = self.featurizer.featurize(dataset[int(index)].query)
+            t, j, p = self.featurizer.featurize(inputs[index][0])
             tables.append(t)
             joins.append(j)
             preds.append(p)
-        return (_pad_sets(tables), _pad_sets(joins), _pad_sets(preds))
+        sets = (_pad_sets(tables), _pad_sets(joins), _pad_sets(preds))
+        labels = (np.array([inputs[index][1] for index in rows])
+                  if with_labels else None)
+        return sets, labels
 
-    def fit(
-        self,
-        train: PlanDataset,
-        context: Optional[np.ndarray] = None,
-    ) -> "MSCNModel":
-        if self.context_dim and context is None:
-            raise ValueError("model was built with context_dim but none given")
-        labels = log_labels(train)
-        rng = np.random.default_rng(self.seed)
-        optimizer = Adam(self.net.trainable_parameters(), lr=self.lr)
-        for _ in range(self.epochs):
-            order = rng.permutation(len(train))
-            for start in range(0, len(order), self.batch_size):
-                rows = order[start:start + self.batch_size]
-                sets = self._encode(train, rows)
-                ctx = context[rows] if context is not None else None
-                optimizer.zero_grad()
-                pred = self.net(sets, ctx)
-                loss = log_qerror_loss(pred, labels[rows])
-                loss.backward()
-                optimizer.step()
-        return self
+    def _loss(self, batch, context) -> Tensor:
+        sets, labels = batch
+        return log_qerror_loss(self.net(sets, context), labels)
 
-    def predict_ms(
-        self,
-        test: PlanDataset,
-        context: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if self.context_dim and context is None:
-            raise ValueError("model was built with context_dim but none given")
-        out = np.empty(len(test))
-        with no_grad():
-            for start in range(0, len(test), self.batch_size):
-                rows = np.arange(start, min(start + self.batch_size, len(test)))
-                sets = self._encode(test, rows)
-                ctx = context[rows] if context is not None else None
-                out[rows] = self.net(sets, ctx).data
-        return np.exp(out)
-
-    def num_parameters(self) -> int:
-        return self.net.num_parameters()
+    def _readout(self, batch, context) -> Tensor:
+        return self.net(batch[0], context)

@@ -10,19 +10,19 @@ inherently sequential in tree depth because parents wait for children.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines.base import CostEstimatorBase
-from repro.baselines.common import TreeLevelBatch, build_tree_levels
+from repro.baselines.base import LearnedBaseline
+from repro.baselines.common import TreeLevelBatch
 from repro.engine.plan import NODE_TYPES
-from repro.featurize.catcher import CaughtPlan, catch_plan
 from repro.featurize.encoder import PlanEncoder
-from repro.nn import Adam, Module, Tensor, no_grad
+from repro.nn import Module, Tensor
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.losses import log_qerror_loss
-from repro.workloads.dataset import PlanDataset
+
+HIDDEN = 128
 
 
 class _QPPNetUnits(Module):
@@ -72,74 +72,32 @@ class _QPPNetUnits(Module):
         return level_preds, roots
 
 
-class QPPNetModel(CostEstimatorBase):
+class QPPNetModel(LearnedBaseline):
     """QPPNet with the fit/predict interface (sub-plan supervised)."""
 
     name = "QPPNet"
 
-    def __init__(
-        self,
-        hidden: int = 128,
-        epochs: int = 30,
-        batch_size: int = 64,
-        lr: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
+    def __init__(self, epochs: int = 30, seed: int = 0) -> None:
+        super().__init__(epochs, seed)
         self.encoder = PlanEncoder(extra_features=True)
         self.net = _QPPNetUnits(
-            self.encoder.dim, hidden, np.random.default_rng(seed)
+            self.encoder.dim, HIDDEN, np.random.default_rng(seed)
         )
 
-    def _batches(self, plans: Sequence[CaughtPlan], rng: np.random.Generator):
-        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-        chunks = [
-            [plans[i] for i in order[s:s + self.batch_size]]
-            for s in range(0, len(order), self.batch_size)
-        ]
-        rng.shuffle(chunks)
-        return chunks
+    def _loss(self, batch: TreeLevelBatch, context) -> Tensor:
+        level_preds, _ = self.net(batch)
+        # Equal-weight loss on every sub-plan (QPPNet's protocol).
+        losses = []
+        for level, pred in zip(batch.levels, level_preds):
+            losses.append(
+                log_qerror_loss(pred, level.labels_log)
+                * level.num_nodes
+            )
+        total_nodes = sum(l.num_nodes for l in batch.levels)
+        loss = losses[0]
+        for extra in losses[1:]:
+            loss = loss + extra
+        return loss * (1.0 / total_nodes)
 
-    def fit(self, train: PlanDataset) -> "QPPNetModel":
-        plans = [catch_plan(s.plan) for s in train]
-        if not self.encoder.is_fit:
-            self.encoder.fit(plans)
-        rng = np.random.default_rng(self.seed)
-        optimizer = Adam(self.net.trainable_parameters(), lr=self.lr)
-        for _ in range(self.epochs):
-            for chunk in self._batches(plans, rng):
-                batch = build_tree_levels(chunk, self.encoder)
-                optimizer.zero_grad()
-                level_preds, _ = self.net(batch)
-                # Equal-weight loss on every sub-plan (QPPNet's protocol).
-                losses = []
-                for level, pred in zip(batch.levels, level_preds):
-                    losses.append(
-                        log_qerror_loss(pred, level.labels_log)
-                        * level.num_nodes
-                    )
-                total_nodes = sum(l.num_nodes for l in batch.levels)
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = loss + extra
-                loss = loss * (1.0 / total_nodes)
-                loss.backward()
-                optimizer.step()
-        return self
-
-    def predict_ms(self, test: PlanDataset) -> np.ndarray:
-        plans = [catch_plan(s.plan) for s in test]
-        out = np.empty(len(plans))
-        with no_grad():
-            for start in range(0, len(plans), self.batch_size):
-                chunk = plans[start:start + self.batch_size]
-                batch = build_tree_levels(chunk, self.encoder, with_labels=False)
-                _, roots = self.net(batch)
-                out[start:start + len(chunk)] = roots.data
-        return np.exp(out)
-
-    def num_parameters(self) -> int:
-        return self.net.num_parameters()
+    def _readout(self, batch: TreeLevelBatch, context) -> Tensor:
+        return self.net(batch)[1]

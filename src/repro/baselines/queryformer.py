@@ -21,20 +21,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import CostEstimatorBase
-from repro.featurize.catcher import CaughtPlan, catch_plan
+from repro.baselines.base import LearnedBaseline
+from repro.featurize.catcher import CaughtPlan
 from repro.featurize.encoder import LABEL_EPS_MS, PlanEncoder
-from repro.nn import Adam, Module, Parameter, Tensor, no_grad
+from repro.nn import Module, Parameter, Tensor
 from repro.nn.attention import multi_head_self_attention
 from repro.nn.layers import LayerNorm, Linear, ReLU, Sequential
 from repro.nn.losses import log_qerror_loss
-from repro.workloads.dataset import PlanDataset
 
+D_MODEL = 64
+D_FF = 256
+NUM_HEADS = 4
 MAX_DISTANCE_BUCKET = 8     # tree distances 0..7, clipped
 SUPER_BUCKET = MAX_DISTANCE_BUCKET        # super-node <-> anything
 NUM_BUCKETS = MAX_DISTANCE_BUCKET + 1
 MAX_HEIGHT = 24
-_NEG_INF = -1e9
 
 
 class _QFBatch:
@@ -141,83 +142,32 @@ class _QueryFormerNet(Module):
         return out.reshape(out.shape[0])
 
 
-class QueryFormerModel(CostEstimatorBase):
+class QueryFormerModel(LearnedBaseline):
     """QueryFormer with the fit/predict interface."""
 
     name = "QueryFormer"
+    lr = 5e-4
 
     def __init__(
         self,
-        d_model: int = 64,
-        d_ff: int = 256,
         n_layers: int = 8,
-        num_heads: int = 4,
         context_dim: int = 0,
         epochs: int = 30,
-        batch_size: int = 64,
-        lr: float = 5e-4,
         seed: int = 0,
     ) -> None:
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
+        super().__init__(epochs, seed)
         self.context_dim = context_dim
         self.encoder = PlanEncoder(extra_features=True)
         self.net = _QueryFormerNet(
-            self.encoder.dim, d_model, d_ff, n_layers, context_dim,
-            num_heads, np.random.default_rng(seed),
+            self.encoder.dim, D_MODEL, D_FF, n_layers, context_dim,
+            NUM_HEADS, np.random.default_rng(seed),
         )
 
-    # ------------------------------------------------------------------ #
-    def _chunks(self, count: int):
-        for start in range(0, count, self.batch_size):
-            yield start, min(start + self.batch_size, count)
+    def _batch(self, inputs, rows, with_labels: bool) -> _QFBatch:
+        return _QFBatch([inputs[i] for i in rows], self.encoder)
 
-    def fit(
-        self,
-        train: PlanDataset,
-        context: Optional[np.ndarray] = None,
-    ) -> "QueryFormerModel":
-        if self.context_dim and context is None:
-            raise ValueError("model was built with context_dim but none given")
-        plans = [catch_plan(s.plan) for s in train]
-        if not self.encoder.is_fit:
-            self.encoder.fit(plans)
-        rng = np.random.default_rng(self.seed)
-        optimizer = Adam(self.net.trainable_parameters(), lr=self.lr)
-        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-        for _ in range(self.epochs):
-            starts = list(self._chunks(len(plans)))
-            rng.shuffle(starts)
-            for start, stop in starts:
-                rows = order[start:stop]
-                chunk = [plans[i] for i in rows]
-                batch = _QFBatch(chunk, self.encoder)
-                ctx = context[rows] if context is not None else None
-                optimizer.zero_grad()
-                pred = self.net(batch, ctx)
-                loss = log_qerror_loss(pred, batch.labels)
-                loss.backward()
-                optimizer.step()
-        return self
+    def _loss(self, batch: _QFBatch, context) -> Tensor:
+        return log_qerror_loss(self.net(batch, context), batch.labels)
 
-    def predict_ms(
-        self,
-        test: PlanDataset,
-        context: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if self.context_dim and context is None:
-            raise ValueError("model was built with context_dim but none given")
-        plans = [catch_plan(s.plan) for s in test]
-        out = np.empty(len(plans))
-        with no_grad():
-            for start, stop in self._chunks(len(plans)):
-                chunk = plans[start:stop]
-                batch = _QFBatch(chunk, self.encoder)
-                ctx = context[start:stop] if context is not None else None
-                out[start:stop] = self.net(batch, ctx).data
-        return np.exp(out)
-
-    def num_parameters(self) -> int:
-        return self.net.num_parameters()
+    def _readout(self, batch: _QFBatch, context) -> Tensor:
+        return self.net(batch, context)

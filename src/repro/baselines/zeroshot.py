@@ -15,19 +15,19 @@ and training protocol are unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines.base import CostEstimatorBase
-from repro.baselines.common import TreeLevelBatch, build_tree_levels
+from repro.baselines.base import LearnedBaseline
+from repro.baselines.common import TreeLevelBatch
 from repro.engine.plan import NODE_TYPES
-from repro.featurize.catcher import CaughtPlan, catch_plan
 from repro.featurize.encoder import PlanEncoder
-from repro.nn import Adam, Module, Tensor, no_grad
+from repro.nn import Module, Tensor
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.losses import log_qerror_loss
-from repro.workloads.dataset import PlanDataset
+
+HIDDEN = 128
 
 
 class _TypedMessagePassing(Module):
@@ -88,83 +88,25 @@ class _ZeroShotNet(_TypedMessagePassing):
         out = self.readout(roots)
         return out.reshape(out.shape[0])
 
-    def embed(self, batch: TreeLevelBatch) -> np.ndarray:
-        return self.propagate(batch).data.copy()
 
-
-class ZeroShotModel(CostEstimatorBase):
+class ZeroShotModel(LearnedBaseline):
     """The Zero-Shot cost model with the fit/predict interface."""
 
     name = "Zero-Shot"
 
-    def __init__(
-        self,
-        hidden: int = 128,
-        epochs: int = 30,
-        batch_size: int = 64,
-        lr: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
+    def __init__(self, epochs: int = 30, seed: int = 0) -> None:
+        super().__init__(epochs, seed)
         rng = np.random.default_rng(seed)
         # Zero-Shot's original featurization is far richer than DACE's
         # 18-dim encoding; the extra (workload-dependent) features stand
         # in for that.
         self.encoder = PlanEncoder(extra_features=True)
-        self.net = _ZeroShotNet(self.encoder.dim, hidden, rng)
+        self.net = _ZeroShotNet(self.encoder.dim, HIDDEN, rng)
 
-    # ------------------------------------------------------------------ #
-    def _batches(self, plans: Sequence[CaughtPlan], rng: np.random.Generator):
-        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-        chunks = [
-            [plans[i] for i in order[s:s + self.batch_size]]
-            for s in range(0, len(order), self.batch_size)
-        ]
-        rng.shuffle(chunks)
-        return chunks
+    def _loss(self, batch: TreeLevelBatch, context) -> Tensor:
+        # Root loss only: the roots level's labels, in plan order.
+        labels = batch.levels[-1].labels_log[batch.root_order]
+        return log_qerror_loss(self.net(batch), labels)
 
-    def fit(self, train: PlanDataset) -> "ZeroShotModel":
-        plans = [catch_plan(s.plan) for s in train]
-        if not self.encoder.is_fit:
-            self.encoder.fit(plans)
-        rng = np.random.default_rng(self.seed)
-        optimizer = Adam(self.net.trainable_parameters(), lr=self.lr)
-        for _ in range(self.epochs):
-            for chunk in self._batches(plans, rng):
-                batch = build_tree_levels(chunk, self.encoder)
-                labels = np.array([
-                    np.log(max(p.actual_times[0], 1e-3)) for p in chunk
-                ])
-                optimizer.zero_grad()
-                pred = self.net(batch)
-                loss = log_qerror_loss(pred, labels)
-                loss.backward()
-                optimizer.step()
-        return self
-
-    def predict_ms(self, test: PlanDataset) -> np.ndarray:
-        plans = [catch_plan(s.plan) for s in test]
-        out = np.empty(len(plans))
-        with no_grad():
-            for start in range(0, len(plans), self.batch_size):
-                chunk = plans[start:start + self.batch_size]
-                batch = build_tree_levels(chunk, self.encoder, with_labels=False)
-                out[start:start + len(chunk)] = self.net(batch).data
-        return np.exp(out)
-
-    def embed_dataset(self, dataset: PlanDataset) -> np.ndarray:
-        """Root hidden states (for the paper's discussion of ZS as encoder)."""
-        plans = [catch_plan(s.plan) for s in dataset]
-        outs = []
-        with no_grad():
-            for start in range(0, len(plans), self.batch_size):
-                chunk = plans[start:start + self.batch_size]
-                batch = build_tree_levels(chunk, self.encoder, with_labels=False)
-                outs.append(self.net.embed(batch))
-        return np.concatenate(outs, axis=0)
-
-    def num_parameters(self) -> int:
-        return self.net.num_parameters()
+    def _readout(self, batch: TreeLevelBatch, context) -> Tensor:
+        return self.net(batch)

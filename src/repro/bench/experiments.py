@@ -14,8 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.baselines import (
-    DACEMSCNModel,
-    DACEQueryFormerModel,
+    DACEIntegration,
     MSCNModel,
     PostgresCostBaseline,
     QPPNetModel,
@@ -219,20 +218,21 @@ def fig06_knowledge_integration(scale: BenchScale = DEFAULT) -> dict:
         "MSCN": MSCNModel(
             imdb, epochs=scale.baseline_epochs, seed=scale.seed
         ),
-        "DACE-MSCN": DACEMSCNModel(
-            imdb, dace, epochs=scale.baseline_epochs, seed=scale.seed
-        ),
+        "DACE-MSCN": DACEIntegration(MSCNModel(
+            imdb, context_dim=dace.embedding_dim,
+            epochs=scale.baseline_epochs, seed=scale.seed,
+        ), dace),
         "QueryFormer": QueryFormerModel(
             epochs=scale.queryformer_epochs,
             n_layers=scale.queryformer_layers,
             seed=scale.seed,
         ),
-        "DACE-QueryFormer": DACEQueryFormerModel(
-            dace,
+        "DACE-QueryFormer": DACEIntegration(QueryFormerModel(
+            context_dim=dace.embedding_dim,
             epochs=scale.queryformer_epochs,
             n_layers=scale.queryformer_layers,
             seed=scale.seed,
-        ),
+        ), dace),
     }
     results = {}
     for name, model in models.items():
@@ -496,9 +496,10 @@ def fig09_cold_start(scale: BenchScale = DEFAULT) -> dict:
         mscn = MSCNModel(
             imdb, epochs=scale.baseline_epochs, seed=scale.seed
         ).fit(subset)
-        hybrid = DACEMSCNModel(
-            imdb, dace, epochs=scale.baseline_epochs, seed=scale.seed
-        ).fit(subset)
+        hybrid = DACEIntegration(MSCNModel(
+            imdb, context_dim=dace.embedding_dim,
+            epochs=scale.baseline_epochs, seed=scale.seed,
+        ), dace).fit(subset)
         results["MSCN"][count] = qerror_summary(
             mscn.predict_ms(test), test.latencies()
         )

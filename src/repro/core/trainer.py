@@ -1,4 +1,5 @@
-"""Training loop for DACE (and shared by baselines that take EncodedBatch).
+"""Training loop for DACE.  (The learned baselines share their own loop,
+:class:`repro.baselines.base.LearnedBaseline`.)
 
 Implements the paper's objective (eq. 7): per-node weighted q-error, with
 the loss adjuster's ``alpha ** height`` weights, minimized in log space.

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    DACEMSCNModel,
-    DACEQueryFormerModel,
+    DACEIntegration,
     MSCNModel,
     PostgresCostBaseline,
     QPPNetModel,
@@ -102,6 +101,20 @@ class TestTreeLevelBatching:
             )
 
 
+LEARNED_IDS = ["zeroshot", "qppnet", "tpool", "queryformer", "mscn"]
+
+
+def _learned(epochs, seed):
+    """Factories of the five learned baselines, in ``LEARNED_IDS`` order."""
+    return [
+        lambda db: ZeroShotModel(epochs=epochs, seed=seed),
+        lambda db: QPPNetModel(epochs=epochs, seed=seed),
+        lambda db: TPoolModel(epochs=epochs, seed=seed),
+        lambda db: QueryFormerModel(epochs=epochs, n_layers=2, seed=seed),
+        lambda db: MSCNModel(db, epochs=epochs, seed=seed),
+    ]
+
+
 class TestNeuralBaselines:
     @pytest.mark.parametrize("factory", [
         lambda db: ZeroShotModel(epochs=5, seed=0),
@@ -109,7 +122,7 @@ class TestNeuralBaselines:
         lambda db: TPoolModel(epochs=5, seed=0),
         lambda db: QueryFormerModel(epochs=3, n_layers=2, seed=0),
         lambda db: MSCNModel(db, epochs=8, seed=0),
-    ], ids=["zeroshot", "qppnet", "tpool", "queryformer", "mscn"])
+    ], ids=LEARNED_IDS)
     def test_fit_predict_learns(self, factory, imdb_db, train_test):
         train, test = train_test
         model = factory(imdb_db)
@@ -119,17 +132,21 @@ class TestNeuralBaselines:
         constant = qerror_summary(np.ones(len(test)), test.latencies())
         assert summary.median < constant.median
 
-    def test_zeroshot_deterministic(self, train_test):
+    @pytest.mark.parametrize("factory", _learned(epochs=3, seed=7),
+                             ids=LEARNED_IDS)
+    def test_zeroshot_deterministic(self, factory, imdb_db, train_test):
+        """Two seeded fits of any learned baseline agree bit for bit."""
         train, test = train_test
-        a = ZeroShotModel(epochs=3, seed=7).fit(train).predict_ms(test)
-        b = ZeroShotModel(epochs=3, seed=7).fit(train).predict_ms(test)
-        np.testing.assert_allclose(a, b)
+        a = factory(imdb_db).fit(train).predict_ms(test)
+        b = factory(imdb_db).fit(train).predict_ms(test)
+        assert np.array_equal(a, b)
 
-    def test_zeroshot_embeddings(self, train_test):
-        train, test = train_test
-        model = ZeroShotModel(epochs=2, seed=0).fit(train)
-        embeddings = model.embed_dataset(test)
-        assert embeddings.shape == (len(test), 128)
+    @pytest.mark.parametrize("factory", _learned(epochs=1, seed=0),
+                             ids=LEARNED_IDS)
+    def test_empty_training_dataset_raises(self, factory, imdb_db):
+        model = factory(imdb_db)
+        with pytest.raises(ValueError, match="empty training dataset"):
+            model.fit(PlanDataset(samples=[]))
 
     def test_model_sizes_exceed_dace(self, imdb_db):
         dace_params = DACE().num_parameters()
@@ -153,24 +170,49 @@ class TestKnowledgeIntegration:
         dace.fit(train_datasets)
         return dace
 
+    @staticmethod
+    def _dace_mscn(imdb_db, dace, epochs):
+        return DACEIntegration(
+            MSCNModel(imdb_db, context_dim=dace.embedding_dim,
+                      epochs=epochs, seed=0),
+            dace,
+        )
+
     def test_dace_mscn(self, imdb_db, pretrained_dace, train_test):
         train, test = train_test
-        hybrid = DACEMSCNModel(imdb_db, pretrained_dace, epochs=8, seed=0)
+        hybrid = self._dace_mscn(imdb_db, pretrained_dace, epochs=8)
         hybrid.fit(train)
         _check_predictions(hybrid, test)
+        assert hybrid.name == "DACE-MSCN"
+        assert hybrid.num_parameters() == (
+            hybrid.wdm.num_parameters() + pretrained_dace.num_parameters()
+        )
 
     def test_dace_queryformer(self, pretrained_dace, train_test):
         train, test = train_test
-        hybrid = DACEQueryFormerModel(
-            pretrained_dace, n_layers=2, epochs=3, seed=0
+        hybrid = DACEIntegration(
+            QueryFormerModel(n_layers=2, epochs=3, seed=0,
+                             context_dim=pretrained_dace.embedding_dim),
+            pretrained_dace,
         )
         hybrid.fit(train)
         _check_predictions(hybrid, test)
+        assert hybrid.name == "DACE-QueryFormer"
+
+    def test_context_width_must_match_dace(self, imdb_db, pretrained_dace):
+        with pytest.raises(ValueError):
+            DACEIntegration(MSCNModel(imdb_db, context_dim=8),
+                            pretrained_dace)
+
+    def test_empty_training_dataset_raises(self, imdb_db, pretrained_dace):
+        hybrid = self._dace_mscn(imdb_db, pretrained_dace, epochs=1)
+        with pytest.raises(ValueError, match="empty training dataset"):
+            hybrid.fit(PlanDataset(samples=[]))
 
     def test_dace_frozen_during_integration(self, imdb_db, pretrained_dace,
                                             train_test):
         before = pretrained_dace.model.state_dict()
-        hybrid = DACEMSCNModel(imdb_db, pretrained_dace, epochs=2, seed=0)
+        hybrid = self._dace_mscn(imdb_db, pretrained_dace, epochs=2)
         hybrid.fit(train_test[0])
         after = pretrained_dace.model.state_dict()
         for name in before:
@@ -182,7 +224,7 @@ class TestKnowledgeIntegration:
         train, test = train_test
         tiny = train[:20]
         plain = MSCNModel(imdb_db, epochs=20, seed=0).fit(tiny)
-        hybrid = DACEMSCNModel(imdb_db, pretrained_dace, epochs=20, seed=0)
+        hybrid = self._dace_mscn(imdb_db, pretrained_dace, epochs=20)
         hybrid.fit(tiny)
         plain_summary = qerror_summary(
             plain.predict_ms(test), test.latencies()

@@ -9,7 +9,7 @@ absolute numbers.
 import numpy as np
 import pytest
 
-from repro.baselines import DACEMSCNModel, MSCNModel, PostgresCostBaseline
+from repro.baselines import DACEIntegration, MSCNModel, PostgresCostBaseline
 from repro.catalog import load_database
 from repro.core import DACE, TrainingConfig
 from repro.metrics import qerror_summary
@@ -77,7 +77,11 @@ class TestPaperClaims:
                                                    imdb_workload):
         imdb = load_database("imdb")
         train, test = imdb_workload.split(0.6, seed=0)
-        hybrid = DACEMSCNModel(imdb, pipeline, epochs=10, seed=0).fit(train)
+        hybrid = DACEIntegration(
+            MSCNModel(imdb, context_dim=pipeline.embedding_dim, epochs=10,
+                      seed=0),
+            pipeline,
+        ).fit(train)
         summary = hybrid.evaluate(test)
         assert summary.median < 10.0
 
